@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DegenerateError, DomainError, ZeroSeebeck, ZeroVoltage
-from .materials import KTransform, MaterialPair, coupling_from, rho_kappa_integral
+from .materials import KTransform, MaterialPair, _ret, coupling_from, rho_kappa_integral
 
 
 @dataclass(frozen=True)
@@ -115,15 +117,16 @@ def max_efficiency(spec: GeneratorSpec) -> tuple[float, float]:
     return eta_max, s
 
 
-def shooting_function(spec: GeneratorSpec, theta: float) -> float:
+def shooting_function(spec: GeneratorSpec, theta):
     """I(theta) = theta + sqrt(theta^2 + 2r): the value of the nonlocal
     current constraint produced by initial slope theta in transformed
-    coordinates.  Strictly increasing, I(-inf) = 0+, I(+inf) = inf, and
-    I(theta) - I(-theta) = 2*theta.
+    coordinates; a float for scalar theta, an array for an array.  Strictly
+    increasing, I(-inf) = 0+, I(+inf) = inf, and I(theta) - I(-theta) =
+    2*theta.
     """
     if spec.delta_T == 0:
         raise DegenerateError("shooting function needs T_h > T_c")
-    return theta + math.sqrt(theta * theta + 2.0 * spec.rk)
+    return _ret(theta + np.sqrt(np.square(theta) + 2.0 * spec.rk))
 
 
 def matched_initial_slope(spec: GeneratorSpec, gamma: float) -> float:

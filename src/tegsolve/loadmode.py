@@ -155,16 +155,19 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     Sign changes on a uniform theta grid are refined by Brent's method to
     |H - |V|| <= tol_root; stationary points that touch the level within
     tol_tangency are reported as single flagged (tangency) roots.  Raises
-    ScanIncomplete when no bracket exists anywhere in the scan window.
+    DomainError for scan_samples < 2 and ScanIncomplete when no bracket
+    exists anywhere in the scan window.
     """
     spec = prob.spec
     if spec.V == 0:
         raise ZeroVoltage("enumeration needs V != 0")
+    if scan_samples < 2:
+        raise DomainError(f"scan_samples must be >= 2, got {scan_samples}")
     target = abs(spec.V)
     r = spec.rk
     quadrature = prob._quadrature
 
-    def g(th: float) -> float:
+    def g(th):
         return shooting_function(spec, th) + prob.S_load * quadrature.y_c(th) - target
 
     # bracket: H(|V|) > |V| always; extend downward until H < |V| or the floor
@@ -179,7 +182,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
         theta_lo = max(2.0 * theta_lo, floor)
 
     grid = np.linspace(theta_lo, theta_hi, scan_samples)
-    gv = np.array([g(t) for t in grid])
+    gv = g(grid)  # one array pass
     dtheta = grid[1] - grid[0]
 
     notes: list[str] = []

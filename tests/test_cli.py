@@ -134,6 +134,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_scan_samples_below_two_exit_code_and_record(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        material_file=str(CONFIG_DIR / "materials" / "clamped_three_solutions.json"),
+        mode={"type": "multiplicity", "R_load": 8.0},
+    )
+    code = cli.main(["multiplicity", "--config", str(cfg), "--scan-samples", "1"])
+    assert code == cli.EXIT_SOLVER
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "DomainError"
+    assert "scan_samples" in record["message"]
+    assert record["exit_code"] == cli.EXIT_SOLVER
+
+
 def test_degenerate_report_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, T_h=1.0, T_c=1.0)
     code = cli.main(["report", "--config", str(cfg)])

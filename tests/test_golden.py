@@ -1,0 +1,71 @@
+"""Fresh `multiplicity` runs against the reference outputs tracked in out/.
+
+Tolerances are relative, per quantity, and sit just above the drift measured
+between environments (Python 3.11.7, numpy 2.4.6, scipy 1.17.1 against the
+environment that wrote out/):
+
+* H and its theta grid come from the quadrature alone and drift ~2e-15.
+* A simple root's y_c, R_total and eta come from the RK45 materialisation at
+  tol_ode 1e-12 and drift up to ~3e-11; its theta drifts ~1e-14.
+* gamma_equiv = R_load / (R_total - R_load) multiplies R_total's relative
+  error by R_total / R_int, under 3 in these legs (measured 4.1e-11).
+* The tangency root minimises (H - |V|)^2, which fixes theta only to about
+  sqrt(eps) of the scale; its whole row drifts up to 1.054e-9 (theta).
+"""
+
+import csv
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tegsolve import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+H_CURVE_REL = {"theta": 1e-15, "H": 1e-13}
+ROOT_REL = {"theta": 4e-11, "y_c": 4e-11, "R_total": 4e-11,
+            "gamma_equiv": 1.2e-10, "eta": 4e-11}
+TANGENCY_ROOT_REL = 1.1e-9
+
+
+def _read(path):
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    return rows[0], np.array(rows[1:], dtype=float)
+
+
+@pytest.fixture(scope="module", params=["three_solutions", "two_solutions"])
+def run(request, tmp_path_factory):
+    name = request.param
+    out = tmp_path_factory.mktemp(name)
+    assert cli.main(["multiplicity", "--config", str(ROOT / "configs" / f"{name}.json"),
+                     "--out", str(out)]) == 0
+    return out, ROOT / "out" / name
+
+
+def test_h_curve_matches_reference(run):
+    out, ref = run
+    header, got = _read(out / "h_curve.csv")
+    ref_header, want = _read(ref / "h_curve.csv")
+    assert header == ref_header == ["theta", "H"]
+    assert got.shape == want.shape
+    for i, name in enumerate(header):
+        np.testing.assert_allclose(got[:, i], want[:, i], rtol=H_CURVE_REL[name],
+                                   atol=0, err_msg=name)
+
+
+def test_roots_match_reference(run):
+    out, ref = run
+    header, got = _read(out / "multiplicity.csv")
+    ref_header, want = _read(ref / "multiplicity.csv")
+    assert header == ref_header
+    assert got.shape == want.shape
+    tangency = header.index("tangency")
+    np.testing.assert_array_equal(got[:, tangency], want[:, tangency])
+    for g_row, w_row in zip(got, want):
+        for i, name in enumerate(header):
+            if i == tangency:
+                continue
+            rel = TANGENCY_ROOT_REL if w_row[tangency] else ROOT_REL[name]
+            assert g_row[i] == pytest.approx(w_row[i], rel=rel, abs=0), name

@@ -1,0 +1,125 @@
+"""Array hitting-time kernel against the per-panel scalar loop it replaced."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import tegsolve as tg
+from tegsolve import loadmode
+
+from helpers import random_spec, three_solution_problem, two_solution_problem
+
+REL = 1e-13  # summation order differs from the loop; the arithmetic does not
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
+
+
+def reference_y_c(q, theta):
+    """y_c(theta) by the scalar loop: one spline call and one rho call per
+    Gauss-Legendre sub-interval, panels summed in order."""
+    theta = float(theta)
+    if theta > 0:
+        q._ensure(0.5 * theta * theta)
+    w_lo = -math.sqrt(theta * theta + 2.0 * q.r)
+    pts = {w_lo, theta}
+    if theta > 0:
+        pts.update((0.0, -theta))
+    for q_k in q._kink_q:
+        w2 = theta * theta - 2.0 * q_k
+        if w2 > 0:
+            w_k = math.sqrt(w2)
+            pts.update(c for c in (-w_k, w_k) if w_lo < c < theta)
+    pts = sorted(pts)
+    span = pts[-1] - pts[0]
+    assert q.gl_order == GL_NODES.size
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        n_sub = min(8, max(1, int(math.ceil((hi - lo) / (0.25 * span + 1e-300)))))
+        edges = np.linspace(lo, hi, n_sub + 1)
+        panel = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            w = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
+            qq = np.clip(0.5 * (theta * theta - w * w), q._grid_W[0], q._grid_W[-1])
+            rho = q.spec.pair.rho.value(q._inv(qq))
+            panel += 0.5 * (b - a) * float(np.dot(GL_WEIGHTS, 1.0 / rho))
+        total += panel
+    return total
+
+
+def test_array_y_c_matches_scalar_loop_on_all_family_pairs():
+    rng = np.random.default_rng(71)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        # a coarse W^-1 grid keeps the quad-fallback builds cheap; both routes
+        # read the same grid, so the comparison is unaffected
+        q = tg.HittingTimeQuadrature(spec, n_base=257)
+        W_top = float(q._grid_W[-1])
+        s = math.sqrt(2.0 * spec.rk)
+        big = math.sqrt(3.0 * W_top)  # theta^2 / 2 = 1.5 W_top: extends the grid
+        thetas = np.array([-4.0 * s, -s, -0.05 * s, 0.0, 0.05 * s, 0.7 * s, s, big])
+        got = q.y_c(thetas)
+        assert q._grid_W[-1] >= 0.5 * big * big > W_top, idx
+        for th, y in zip(thetas, got):
+            ref = reference_y_c(q, th)
+            assert abs(y - ref) <= REL * ref, (idx, th, y, ref)
+            one = q.y_c(float(th))
+            assert isinstance(one, float)
+            assert abs(one - ref) <= REL * ref, (idx, th, one, ref)
+
+
+def test_array_y_c_keeps_shape_handles_empty_and_rejects_nan():
+    q = tg.HittingTimeQuadrature(three_solution_problem().spec)
+    grid = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    got = q.y_c(grid)
+    assert got.shape == (3, 4)
+    np.testing.assert_array_equal(got.ravel(), q.y_c(grid.ravel()))
+    assert q.y_c(np.array([])).shape == (0,)
+    with pytest.raises(tg.DomainError):
+        q.y_c(np.array([0.5, np.nan]))
+
+
+def _scalar_loop_enumeration(prob, monkeypatch):
+    """enumerate_solutions with every y_c, the scan included, by the loop."""
+    def loop_y_c(self, theta):
+        if np.ndim(theta) == 0:
+            return reference_y_c(self, theta)
+        return np.array([reference_y_c(self, t) for t in np.ravel(theta)])
+
+    with monkeypatch.context() as m:
+        m.setattr(tg.HittingTimeQuadrature, "y_c", loop_y_c)
+        return loadmode.enumerate_solutions(
+            loadmode.LoadResistanceProblem(spec=prob.spec, R_load=prob.R_load))
+
+
+@pytest.mark.parametrize("make", [three_solution_problem,
+                                  lambda: two_solution_problem()[0]],
+                         ids=["three_solutions", "two_solutions"])
+def test_scan_matches_scalar_loop(make, monkeypatch):
+    prob = make()
+    ref = _scalar_loop_enumeration(prob, monkeypatch)
+    got = tg.enumerate_solutions(make())
+    d_ref, d_got = ref.scan_diagnostics, got.scan_diagnostics
+    np.testing.assert_array_equal(d_got.theta_grid, d_ref.theta_grid)
+    np.testing.assert_allclose(d_got.H_values, d_ref.H_values, rtol=REL, atol=0)
+    assert len(got) == len(ref)
+    assert [r.tangency for r in got.roots] == [r.tangency for r in ref.roots]
+    for a, b in zip(got.roots, ref.roots):
+        # a tangency root is a minimiser of (H - |V|)^2, fixed to ~sqrt(eps)
+        assert a.theta == pytest.approx(b.theta, rel=1e-8 if b.tangency else 1e-12)
+
+
+def test_y_c_peak_allocation_is_bounded():
+    q = tg.HittingTimeQuadrature(three_solution_problem().spec)
+    thetas = np.linspace(-3.0, 3.0, 65_536)
+    q.y_c(thetas[:10])  # Gauss-Legendre nodes and other one-off caches
+    tracemalloc.start()
+    try:
+        out = q.y_c(thetas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == thetas.shape
+    # 0.5 MB of output plus one chunk's node arrays; unchunked, each array
+    # over the 2.5e7 nodes would take 190 MB
+    assert peak < 4 * 2**20, peak

@@ -7,7 +7,7 @@ import pytest
 
 import tegsolve as tg
 from tegsolve.errors import NonPositiveHotFlux, ScanIncomplete
-from tegsolve.ivp import TOL_ENERGY, TOL_EVENT
+from tegsolve.ivp import TOL_ENERGY, TOL_ETA, TOL_EVENT
 
 from helpers import random_spec, unit_spec
 
@@ -197,6 +197,22 @@ def test_oracle_equivalence_sample():
         gamma = rng.uniform(0.0, 5.0)
         sol = tg.solve_ratio_mode(spec, gamma)
         assert abs(sol.eta_numeric - tg.efficiency(spec, gamma)) <= 1e-6
+
+
+def test_ratio_mode_retries_on_cold_end_error():
+    # at tol_ode 1e-10 this leg's RK45 run ends 1.4 mK above T_c while the
+    # current is consistent to 3e-16, which put eta 2.23e-6 off the closed form
+    pair = tg.MaterialPair(kappa=tg.reciprocal(736.9935759190353),
+                           rho=tg.constant(0.6937588574268294),
+                           alpha0=0.08729082737537555)
+    spec = tg.GeneratorSpec(pair=pair, T_h=557.587625939021,
+                            T_c=210.06361826865538, L=1.547092767023197,
+                            A_c=0.5654076419147787)
+    gamma = 0.17515353567690817
+    sol = tg.solve_ratio_mode(spec, gamma)
+    assert abs(sol.eta_numeric - tg.efficiency(spec, gamma)) <= TOL_ETA
+    cold = abs(spec.alpha0 * sol.J * (sol.T[-1] - spec.T_c))
+    assert cold <= 0.1 * TOL_ETA * abs(sol.q_h)
 
 
 def test_slope_sign_matches_decreasing_criterion():

@@ -166,6 +166,12 @@ def test_scan_diagnostics_recorded():
     assert not d.floor_hit
 
 
+def test_scan_samples_below_two_rejected():
+    for n in (1, 0, -3):
+        with pytest.raises(DomainError, match="scan_samples"):
+            tg.enumerate_solutions(three_solution_problem(), scan_samples=n)
+
+
 def test_negative_R_load_rejected():
     with pytest.raises(DomainError):
         tg.LoadResistanceProblem(spec=unit_spec(), R_load=-1.0)
