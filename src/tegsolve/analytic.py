@@ -42,6 +42,9 @@ class GeneratorSpec:
     A_c: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.T_h, self.T_c, self.L, self.A_c))):
+            raise DomainError(f"need finite T_h, T_c, L and A_c, got T_h={self.T_h}, "
+                              f"T_c={self.T_c}, L={self.L}, A_c={self.A_c}")
         if not self.T_c > 0:
             raise DomainError(f"need T_c > 0, got T_c={self.T_c}")
         if self.T_h < self.T_c:
@@ -101,8 +104,8 @@ def figure_of_merit(spec: GeneratorSpec) -> float:
 
 def efficiency(spec: GeneratorSpec, gamma: float) -> float:
     """Conversion efficiency at load ratio gamma >= 0; 0 <= eta < dT/T_h."""
-    if gamma < 0:
-        raise DomainError(f"load ratio must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
     z = figure_of_merit(spec)
     dT, T_h = spec.delta_T, spec.T_h
     denom = gamma + 1.0 + (gamma + 1.0) ** 2 / (z * T_h) - 0.5 * dT / T_h
@@ -134,8 +137,8 @@ def matched_initial_slope(spec: GeneratorSpec, gamma: float) -> float:
     theta* = c/2 - r/c with c = |V|/(1+gamma)."""
     if spec.V == 0:
         raise ZeroVoltage("slope matching needs V != 0")
-    if gamma < 0:
-        raise DomainError(f"load ratio must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
     c = abs(spec.V) / (1.0 + gamma)
     return 0.5 * c - spec.rk / c
 
@@ -153,8 +156,8 @@ def is_strictly_decreasing(spec: GeneratorSpec, gamma: float) -> bool:
     z * dT <= 2 * (1 + gamma)^2.  Always true at gamma_opt."""
     if spec.V == 0:
         raise ZeroVoltage("decreasing-profile criterion needs V != 0")
-    if gamma < 0:
-        raise DomainError(f"load ratio must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
     return figure_of_merit(spec) * spec.delta_T <= 2.0 * (1.0 + gamma) ** 2
 
 

@@ -97,18 +97,6 @@ def config_from_dict(data: dict) -> RunConfig:
     mtype = mode["type"]
     _require(mtype in MODE_TYPES,
              f"mode type {mtype!r} not one of {list(MODE_TYPES)}")
-    if mtype == "ratio":
-        _require("gamma" in mode, "ratio mode needs 'gamma'")
-        _require(float(mode["gamma"]) >= 0, "ratio mode needs gamma >= 0")
-    elif mtype in ("resistance", "multiplicity"):
-        _require("R_load" in mode, f"{mtype} mode needs 'R_load'")
-        _require(float(mode["R_load"]) > 0, f"{mtype} mode needs R_load > 0")
-    elif mtype == "sweep":
-        for k in ("gamma_min", "gamma_max", "n"):
-            _require(k in mode, f"sweep mode needs {k!r}")
-        _require(0 <= float(mode["gamma_min"]) < float(mode["gamma_max"]),
-                 "sweep mode needs 0 <= gamma_min < gamma_max")
-        _require(int(mode["n"]) >= 2, "sweep mode needs n >= 2")
     tol = data.get("tolerances", {})
     _require(isinstance(tol, dict), "'tolerances' must be an object")
     try:
@@ -124,8 +112,20 @@ def config_from_dict(data: dict) -> RunConfig:
             tolerances={k: float(v) if k not in ("scan_samples", "n_out")
                         else int(v) for k, v in tol.items()},
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config has a non-numeric field: {exc}") from exc
+    if mtype == "ratio":
+        _require("gamma" in mode, "ratio mode needs 'gamma'")
+        _require(cfg.mode["gamma"] >= 0, "ratio mode needs gamma >= 0")
+    elif mtype in ("resistance", "multiplicity"):
+        _require("R_load" in mode, f"{mtype} mode needs 'R_load'")
+        _require(cfg.mode["R_load"] > 0, f"{mtype} mode needs R_load > 0")
+    elif mtype == "sweep":
+        for k in ("gamma_min", "gamma_max", "n"):
+            _require(k in mode, f"sweep mode needs {k!r}")
+        _require(0 <= cfg.mode["gamma_min"] < cfg.mode["gamma_max"],
+                 "sweep mode needs 0 <= gamma_min < gamma_max")
+        _require(cfg.mode["n"] >= 2, "sweep mode needs n >= 2")
     _require(cfg.T_c > 0, "need T_c > 0")
     _require(cfg.T_h >= cfg.T_c, "need T_h >= T_c")
     _require(cfg.L > 0 and cfg.A_c > 0, "need L > 0 and A_c > 0")

@@ -33,7 +33,7 @@ from .errors import (
     NumericalBlowup,
     TegError,
 )
-from .materials import _ret, coupling_from
+from .materials import _ret
 
 TOL_ODE = 1e-10     # rtol for the adaptive integrator
 TOL_EVENT = 1e-12   # |u(y_c) - u_c| target, scaled by max(1, |u_c|)
@@ -42,6 +42,7 @@ TOL_ETA = 1e-6      # closed-form vs flux-ratio efficiency agreement
 TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
+_W_GL_ORDER = 8     # GL nodes per W-grid segment: exact for rho*kappa of degree <= 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,8 +336,8 @@ def solve_ratio_mode(spec: GeneratorSpec, gamma: float, *,
     else it is retried at a tighter integrator tolerance (global error can
     reach ~100x the local tolerance on kelvin-scale problems).
     """
-    if gamma < 0:
-        raise DomainError(f"load ratio must be >= 0, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
     if spec.V == 0:
         return _k_linear_solution(spec, gamma, n_out)
     theta = matched_initial_slope(spec, gamma)
@@ -454,9 +455,11 @@ class HittingTimeQuadrature:
     The integrand is bounded and piecewise-analytic; panelwise Gauss-Legendre
     with splits at the w-images of rho/kappa kinks gives near machine
     precision at a fraction of the cost of an ODE solve.  The inverse of W is
-    cached as a Hermite spline on a kink-aware grid with exact node values
-    (segmentwise integrals) and exact node derivatives dT/dW = 1/(rho kappa);
-    kinks sit on nodes, so every spline interval is smooth and O(h^4).
+    cached as a Hermite spline on a kink-aware grid with node values from
+    8-point Gauss-Legendre per segment and exact node derivatives
+    dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
+    every spline interval O(h^4).  A theta beyond the grid appends blocks of
+    n_base nodes above it, so earlier nodes never move.
     """
 
     def __init__(self, spec: GeneratorSpec, *, gl_order: int = 80,
@@ -472,36 +475,58 @@ class HittingTimeQuadrature:
 
     def _build(self):
         spec = self.spec
-        grid = np.linspace(spec.T_c, self._T_top, self.n_base)
-        kinks = sorted(
-            {t for m in (spec.pair.kappa, spec.pair.rho) for t in m.kinks()
-             if spec.T_c < t < self._T_top} | {spec.T_h}
-        )
-        grid = np.unique(np.concatenate([grid, kinks]))
-        seg = np.array([
-            coupling_from(spec.pair, float(a), float(b))
-            for a, b in zip(grid[:-1], grid[1:])
-        ])
-        W = np.concatenate([[0.0], np.cumsum(seg)])
+        grid, W = self._w_block(spec.T_c, self._T_top, 0.0)
         W -= W[int(np.searchsorted(grid, spec.T_h))]  # anchor W(T_h) = 0
         self._grid_T = grid
         self._grid_W = W
-        dTdW = 1.0 / (np.asarray(spec.pair.kappa.value(grid), dtype=float)
-                      * np.asarray(spec.pair.rho.value(grid), dtype=float))
+        self._fit()
+
+    def _w_block(self, lo: float, hi: float, W_lo: float):
+        """Nodes on [lo, hi] (n_base uniform plus the kinks and T_h inside)
+        and W on them, counted from W(lo) = W_lo: one array pass of
+        fixed-order Gauss-Legendre over every segment."""
+        pair = self.spec.pair
+        splits = [t for m in (pair.kappa, pair.rho) for t in m.kinks()] + [self.spec.T_h]
+        grid = np.unique(np.concatenate(
+            [np.linspace(lo, hi, self.n_base), [t for t in splits if lo < t < hi]]))
+        nodes, weights = _gauss_legendre(_W_GL_ORDER)
+        half = 0.5 * np.diff(grid)
+        T = half[:, None] * nodes + (0.5 * (grid[:-1] + grid[1:]))[:, None]
+        f = pair.kappa.value(T) * pair.rho.value(T)
+        W = W_lo + np.concatenate([[0.0], np.cumsum(half * (f @ weights))])
+        stall = np.flatnonzero(~(np.diff(W) > 0))
+        if stall.size:
+            raise NumericalBlowup(
+                f"coupling integral stops growing at T={grid[stall[0]]:.6g}; "
+                "the divergence assumption on rho*kappa appears violated"
+            )
+        return grid, W
+
+    def _fit(self):
+        """Hermite spline of W^{-1} and the W-images of the kinks."""
+        pair, grid, W = self.spec.pair, self._grid_T, self._grid_W
+        dTdW = 1.0 / (np.asarray(pair.kappa.value(grid), dtype=float)
+                      * np.asarray(pair.rho.value(grid), dtype=float))
         self._inv = CubicHermiteSpline(W, grid, dTdW, extrapolate=False)
-        kk = [t for m in (spec.pair.kappa, spec.pair.rho) for t in m.kinks()]
+        kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
         self._kink_q = sorted({
             float(W[int(np.searchsorted(grid, t))]) for t in kk
             if grid[0] < t < grid[-1]
         })
 
     def _ensure(self, q_max: float):
+        """Append blocks until W reaches q_max; on failure nothing changes."""
+        T_top, grid, W = self._T_top, self._grid_T, self._grid_W
+        if W[-1] >= q_max:
+            return
         for _ in range(120):
-            if self._grid_W[-1] >= q_max:
+            lo, T_top = T_top, self.spec.T_h + 2.0 * (T_top - self.spec.T_h)
+            g, w = self._w_block(lo, T_top, float(W[-1]))
+            grid, W = np.concatenate([grid, g[1:]]), np.concatenate([W, w[1:]])
+            if W[-1] >= q_max:
+                self._T_top, self._grid_T, self._grid_W = T_top, grid, W
+                self._fit()
                 return
-            self._T_top = self.spec.T_h + 2.0 * (self._T_top - self.spec.T_h)
-            self.n_base = min(32769, 2 * self.n_base - 1)
-            self._build()
         raise NumericalBlowup(
             "coupling integral does not cover the requested energy range; "
             "the divergence assumption on rho*kappa appears violated"

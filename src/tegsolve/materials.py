@@ -45,6 +45,16 @@ def _ret(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _require_finite(model: "PropertyModel") -> None:
+    """InvalidMaterial unless every parameter and domain_low is finite."""
+    vals = [x for v in model.params().values() for x in np.ravel(v)]
+    if model.domain_low is not None:
+        vals.append(model.domain_low)
+    if not all(math.isfinite(x) for x in vals):
+        raise InvalidMaterial(f"{model.family} family needs finite parameters, "
+                              f"got {model.params()}")
+
+
 @dataclass(frozen=True)
 class PropertyModel:
     """Base class for positive scalar property functions of temperature.
@@ -90,6 +100,7 @@ class Constant(PropertyModel):
     family: ClassVar[str] = "constant"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.c <= 0:
             raise InvalidMaterial(f"constant family needs c > 0, got {self.c}")
 
@@ -113,6 +124,7 @@ class Linear(PropertyModel):
     family: ClassVar[str] = "linear"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.a == 0 and self.b <= 0:
             raise InvalidMaterial("linear family with a = 0 needs b > 0")
         if self.a < 0 and self.b <= 0:
@@ -148,6 +160,7 @@ class Reciprocal(PropertyModel):
     _needs_positive_T: ClassVar[bool] = True
 
     def __post_init__(self):
+        _require_finite(self)
         if self.c <= 0:
             raise InvalidMaterial(f"reciprocal family needs c > 0, got {self.c}")
 
@@ -175,6 +188,7 @@ class LogAffine(PropertyModel):
     _needs_positive_T: ClassVar[bool] = True
 
     def __post_init__(self):
+        _require_finite(self)
         if self.c0 <= 0:
             raise InvalidMaterial(f"log_affine family needs c0 > 0, got {self.c0}")
         if self.T_ref <= 0:
@@ -223,6 +237,7 @@ class ClampedLinear(PropertyModel):
     family: ClassVar[str] = "clamped_linear"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.v_pivot <= 0:
             raise InvalidMaterial(f"clamped_linear needs v_pivot > 0, got {self.v_pivot}")
 
@@ -266,6 +281,7 @@ class WiedemannFranz(PropertyModel):
     family: ClassVar[str] = "wiedemann_franz"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.Lo <= 0:
             raise InvalidMaterial(f"wiedemann_franz family needs Lo > 0, got {self.Lo}")
 
@@ -328,6 +344,7 @@ class Table(PropertyModel):
         if any(v <= 0 for _, v in knots):
             raise InvalidMaterial("table values must all be > 0")
         object.__setattr__(self, "knots", knots)
+        _require_finite(self)
 
     @cached_property
     def _T(self):
@@ -471,6 +488,8 @@ class MaterialPair:
     def __post_init__(self):
         k_wf = isinstance(self.kappa, WiedemannFranz)
         r_wf = isinstance(self.rho, WiedemannFranz)
+        if not math.isfinite(self.alpha0):
+            raise InvalidMaterial(f"alpha0 must be finite, got {self.alpha0}")
         if k_wf and r_wf:
             raise InvalidMaterial("kappa and rho cannot both be wiedemann_franz")
         if k_wf and self.kappa.partner is None:

@@ -232,6 +232,23 @@ def test_spec_validation():
         tg.efficiency(unit_spec(), -0.5)
 
 
+
+@pytest.mark.parametrize("field,value", [
+    ("T_h", math.nan), ("T_h", math.inf), ("T_c", math.nan), ("L", math.inf),
+    ("A_c", math.nan),
+])
+def test_spec_rejects_non_finite_inputs(field, value):
+    with pytest.raises(DomainError):
+        unit_spec(**{field: value})
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_closed_forms_reject_non_finite_gamma(gamma):
+    spec = unit_spec()
+    for fn in (tg.efficiency, tg.matched_initial_slope, tg.is_strictly_decreasing):
+        with pytest.raises(DomainError):
+            fn(spec, gamma)
+
 def test_performance_report_fields():
     rep = tg.performance_report(unit_spec())
     assert rep.gamma == pytest.approx(rep.gamma_opt)

@@ -134,6 +134,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("mode", [
+    {"type": "ratio", "gamma": "abc"},
+    {"type": "multiplicity", "R_load": None},
+    {"type": "sweep", "gamma_min": 0.0, "gamma_max": "x", "n": 5},
+    {"type": "sweep", "gamma_min": 0.0, "gamma_max": 2.0, "n": math.inf},
+], ids=["gamma_text", "R_load_null", "gamma_max_text", "n_infinite"])
+def test_non_numeric_mode_field_exit_code_and_record(tmp_path, capsys, mode):
+    cfg = _write_config(tmp_path, mode=mode)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == cli.EXIT_CONFIG
+
 def test_scan_samples_below_two_exit_code_and_record(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

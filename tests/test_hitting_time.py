@@ -1,4 +1,5 @@
-"""Array hitting-time kernel against the per-panel scalar loop it replaced."""
+"""Array hitting-time kernel against the per-panel scalar loop it replaced,
+and the Gauss-Legendre W grid against the per-segment coupling integrals."""
 
 import math
 import tracemalloc
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 import tegsolve as tg
-from tegsolve import loadmode
+from tegsolve import loadmode, materials
 
-from helpers import random_spec, three_solution_problem, two_solution_problem
+from helpers import make_model, random_spec, three_solution_problem, two_solution_problem
 
 REL = 1e-13  # summation order differs from the loop; the arithmetic does not
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
@@ -123,3 +124,104 @@ def test_y_c_peak_allocation_is_bounded():
     # 0.5 MB of output plus one chunk's node arrays; unchunked, each array
     # over the 2.5e7 nodes would take 190 MB
     assert peak < 4 * 2**20, peak
+
+
+def reference_W(q):
+    """W on q's nodes by the per-segment build: one coupling_from call per
+    segment, summed from T_c and anchored at W(T_h) = 0."""
+    grid, pair = q._grid_T, q.spec.pair
+    seg = [materials.coupling_from(pair, float(a), float(b))
+           for a, b in zip(grid[:-1], grid[1:])]
+    W = np.concatenate([[0.0], np.cumsum(seg)])
+    return W - W[int(np.searchsorted(grid, q.spec.T_h))]
+
+
+def _spec_at(seed, idx):
+    """The idx-th spec random_spec draws from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for i in range(idx + 1):
+        spec = random_spec(rng, i)
+    return spec
+
+
+def test_w_grid_matches_coupling_integrals_on_all_family_pairs():
+    rng = np.random.default_rng(71)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        pair = spec.pair
+        closed = materials._closed_form_product(
+            pair.kappa, pair.rho, spec.T_c, spec.T_h) is not None
+        q = tg.HittingTimeQuadrature(spec, n_base=257)
+        W = q._grid_W
+        # 8-point GL is exact to rounding on every segment; closed forms lose
+        # digits to cancellation in their antiderivative differences
+        tol = 1e-13 if closed else 1e-15
+        err = np.max(np.abs(W - reference_W(q))) / np.max(np.abs(W))
+        assert err <= tol, (idx, pair.kappa.family, pair.rho.family, err)
+        s = math.sqrt(2.0 * spec.rk)
+        if pair.kappa.family == pair.rho.family == "reciprocal":
+            # rho*kappa ~ 1/T^2: its integral converges short of 8 r
+            with pytest.raises(tg.NumericalBlowup):
+                q.y_c(4.0 * s)
+            continue
+        n_old = W.size
+        q.y_c(4.0 * s)
+        assert q._grid_W.size > n_old
+        np.testing.assert_array_equal(q._grid_W[:n_old], W)
+        # appended blocks are summed from the old top, the reference from T_c
+        err = np.max(np.abs(q._grid_W - reference_W(q))) / np.max(np.abs(q._grid_W))
+        assert err <= 1e-13, (idx, pair.kappa.family, pair.rho.family, err)
+
+
+@pytest.mark.parametrize("kap_fam,rho_fam", [
+    ("linear", "log_affine"), ("table", "table"),
+    ("clamped_linear", "linear"), ("log_affine", "log_affine"),
+])
+def test_w_grid_build_makes_no_quad_call(kap_fam, rho_fam, monkeypatch):
+    rng = np.random.default_rng(5)
+    T_c = rng.uniform(250.0, 350.0)
+    T_h = T_c * rng.uniform(1.6, 2.2)
+    pair = tg.MaterialPair(kappa=make_model(rng, kap_fam, T_c, T_h),
+                           rho=make_model(rng, rho_fam, T_c, T_h), alpha0=1e-3)
+    spec = tg.GeneratorSpec(pair=pair, T_h=T_h, T_c=T_c)
+    assert materials._closed_form_product(pair.kappa, pair.rho, T_c, T_h) is None
+    spec.rk  # the one coupling integral over [T_c, T_h] may use quad
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("scipy.quad called while building the W grid")
+
+    monkeypatch.setattr(materials, "quad", no_quad)
+    q = tg.HittingTimeQuadrature(spec)
+    assert q._grid_T.size >= q.n_base
+
+
+def test_y_c_does_not_depend_on_earlier_theta():
+    # constant kappa x reciprocal rho, T_c 279 K: a large theta appends to
+    # the grid and leaves the nodes that y_c(3 s) reads untouched
+    spec = _spec_at(3, 2)
+    s = math.sqrt(2.0 * spec.rk)
+    ref = tg.integrate_ivp(spec, 3.0 * s, tol_ode=1e-12).y_c
+    q = tg.HittingTimeQuadrature(spec)
+    first = q.y_c(3.0 * s)
+    assert abs(first - ref) <= 1e-10 * ref
+    q.y_c(4.0 * s)
+    assert q.y_c(3.0 * s) == first
+
+
+def test_y_c_on_appended_grid_matches_rk45():
+    # reciprocal kappa x table rho: theta = 4 s appends 13 blocks to the grid
+    spec = _spec_at(71, 12)
+    theta = 4.0 * math.sqrt(2.0 * spec.rk)
+    ref = tg.integrate_ivp(spec, theta, tol_ode=1e-12).y_c
+    y = tg.HittingTimeQuadrature(spec).y_c(theta)
+    assert abs(y - ref) <= 1e-10 * ref
+
+
+def test_converging_coupling_integral_raises_numerical_blowup():
+    # reciprocal kappa x reciprocal rho: W stops growing before theta^2 / 2
+    spec = _spec_at(3, 9)
+    q = tg.HittingTimeQuadrature(spec)
+    grid = q._grid_T
+    with pytest.raises(tg.NumericalBlowup):
+        q.y_c(4.0 * math.sqrt(2.0 * spec.rk))
+    assert q._grid_T is grid  # the failed extension appended nothing

@@ -160,6 +160,13 @@ def test_solve_zero_voltage_branches():
     assert np.max(np.abs(sol.T - exact_T)) < 1e-9
 
 
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+@pytest.mark.parametrize("T_h", [2.0, 1.0], ids=["V_nonzero", "V_zero"])
+def test_solve_ratio_mode_rejects_non_finite_gamma(gamma, T_h):
+    with pytest.raises(tg.DomainError):
+        tg.solve_ratio_mode(unit_spec(T_h=T_h), gamma)
+
 def test_solve_negative_alpha_matches_positive():
     pos = tg.solve_ratio_mode(unit_spec(alpha0=1.3), 0.8)
     neg = tg.solve_ratio_mode(unit_spec(alpha0=-1.3), 0.8)

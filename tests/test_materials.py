@@ -73,6 +73,22 @@ def test_invalid_materials_rejected():
         tg.linear(a=-1.0, b=-1.0)
 
 
+
+@pytest.mark.parametrize("build", [
+    lambda: tg.constant(math.nan),
+    lambda: tg.constant(math.inf),
+    lambda: tg.table([(1.0, 1.0), (2.0, math.nan)]),
+    lambda: tg.linear(a=math.nan, b=1.0),
+    lambda: tg.log_affine(c0=1.0, c1=0.5, T_ref=math.inf),
+    lambda: tg.reciprocal(1.0, domain_low=math.nan),
+    lambda: tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.constant(1.0),
+                            alpha0=math.nan),
+], ids=["constant_nan", "constant_inf", "table_nan_value", "linear_nan",
+        "log_affine_inf_T_ref", "reciprocal_nan_domain_low", "alpha0_nan"])
+def test_non_finite_material_parameters_rejected(build):
+    with pytest.raises(InvalidMaterial):
+        build()
+
 def test_clamped_linear_nondecreasing_and_lipschitz():
     m = tg.clamped_linear(M=48.0, T_pivot=2.0, v_pivot=2.0)
     Ts = np.linspace(0.5, 4.0, 400)
