@@ -61,11 +61,7 @@ from .ivp import (
     HittingTimeQuadrature,
     ResidualReport,
     TemperatureSolution,
-    UTrajectory,
-    integrate_fixed_step,
-    integrate_ivp,
     numeric_efficiency,
-    shooting_integral,
     solve_ratio_mode,
     verify_solution,
 )
@@ -78,7 +74,6 @@ from .loadmode import (
     H_of_theta,
     clamped_H,
     clamped_hitting_time,
-    clamped_profile_u,
     construct_nonunique_example,
     enumerate_solutions,
 )

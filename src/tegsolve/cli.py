@@ -88,7 +88,6 @@ def _enumerate(cfg: io.RunConfig, spec: GeneratorSpec) -> loadmode.SolutionSet:
         prob,
         scan_samples=_tol(cfg, "scan_samples", loadmode.SCAN_SAMPLES),
         tol_root=_tol(cfg, "tol_root", loadmode.TOL_ROOT),
-        tol_ode=_tol(cfg, "tol_ode", loadmode.TOL_ODE_MATERIALIZE),
         n_out=_tol(cfg, "n_out", ivp.N_OUT),
     )
 
@@ -115,7 +114,6 @@ def cmd_solve(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     mtype = cfg.mode["type"]
     if mtype == "ratio":
         sol = ivp.solve_ratio_mode(spec, cfg.mode["gamma"],
-                                   tol_ode=_tol(cfg, "tol_ode", ivp.TOL_ODE),
                                    n_out=_tol(cfg, "n_out", ivp.N_OUT))
         _write_solution(outdir, "solution", sol, spec)
     elif mtype == "resistance":
@@ -143,13 +141,18 @@ def cmd_sweep(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
         raise ConfigError("sweep expects a sweep mode config")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    tol_ode = _tol(cfg, "tol_ode", ivp.TOL_ODE)
     n_out = _tol(cfg, "n_out", ivp.N_OUT)
     gammas = np.linspace(cfg.mode["gamma_min"], cfg.mode["gamma_max"],
                          int(cfg.mode["n"]))
+    # one quadrature build serves every gamma of the sweep
+    quadrature = ivp.HittingTimeQuadrature(spec) if spec.V != 0 else None
     rows = []
     for g in gammas:
-        sol = ivp.solve_ratio_mode(spec, float(g), tol_ode=tol_ode, n_out=n_out)
+        if quadrature is None:
+            sol = ivp.solve_ratio_mode(spec, float(g), n_out=n_out)
+        else:
+            sol = quadrature.materialize(analytic.matched_initial_slope(spec, float(g)),
+                                         gamma=float(g), n_out=n_out)
         eta_cf = analytic.efficiency(spec, float(g)) if spec.V != 0 else 0.0
         rows.append((g, eta_cf, sol.eta_numeric, sol.theta, sol.y_c, sol.J,
                      sol.R_total, sol.q_h, sol.q_c))
@@ -199,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--tol-ode", type=float, default=None,
-                       help="integrator relative tolerance override")
         p.add_argument("--scan-samples", type=int, default=None,
                        help="theta-scan resolution override (multiplicity)")
         p.add_argument("--dump-config", action="store_true",
@@ -216,8 +217,6 @@ def main(argv=None) -> int:
         return _error_record(exc, EXIT_CONFIG)
     if args.out is not None:
         cfg.output_dir = args.out
-    if args.tol_ode is not None:
-        cfg.tolerances["tol_ode"] = args.tol_ode
     if args.scan_samples is not None:
         cfg.tolerances["scan_samples"] = args.scan_samples
     if args.dump_config:

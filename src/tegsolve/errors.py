@@ -38,8 +38,8 @@ class ZeroVoltage(TegError):
 
 
 class NumericalBlowup(TegError):
-    """The integrator could not reach the cold-side crossing; usually a bad
-    material model (the well-posedness assumptions rule this out)."""
+    """The trajectory to the cold-side crossing could not be represented; usually
+    a bad material model (the well-posedness assumptions rule this out)."""
 
 
 class NonPositiveHotFlux(TegError):

@@ -56,8 +56,8 @@ class RunConfig:
 
     mode is a dict with a "type" key (ratio | resistance | sweep |
     multiplicity) plus the mode's parameters; tolerances holds optional
-    numeric overrides (tol_ode, tol_root, scan_samples, n_out, gamma sweep
-    bounds for reports).
+    numeric overrides (tol_root, scan_samples, n_out, gamma sweep bounds for
+    reports).
     """
 
     material_file: str
@@ -99,6 +99,9 @@ def config_from_dict(data: dict) -> RunConfig:
              f"mode type {mtype!r} not one of {list(MODE_TYPES)}")
     tol = data.get("tolerances", {})
     _require(isinstance(tol, dict), "'tolerances' must be an object")
+    _require("tol_ode" not in tol,
+             "'tolerances.tol_ode' no longer applies: profiles come from the "
+             "phase-space quadrature, which integrates no ODE")
     try:
         cfg = RunConfig(
             material_file=str(data["material_file"]),
@@ -126,6 +129,9 @@ def config_from_dict(data: dict) -> RunConfig:
         _require(0 <= cfg.mode["gamma_min"] < cfg.mode["gamma_max"],
                  "sweep mode needs 0 <= gamma_min < gamma_max")
         _require(cfg.mode["n"] >= 2, "sweep mode needs n >= 2")
+    _require(cfg.tolerances.get("n_out", 1) >= 1, "'tolerances.n_out' must be >= 1")
+    _require(cfg.tolerances.get("scan_samples", 2) >= 2,
+             "'tolerances.scan_samples' must be >= 2")
     _require(cfg.T_c > 0, "need T_c > 0")
     _require(cfg.T_h >= cfg.T_c, "need T_h >= T_c")
     _require(cfg.L > 0 and cfg.A_c > 0, "need L > 0 and A_c > 0")

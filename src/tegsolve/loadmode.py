@@ -38,8 +38,6 @@ from .ivp import (
     N_OUT,
     HittingTimeQuadrature,
     TemperatureSolution,
-    _materialize,
-    integrate_ivp,
     numeric_efficiency,
 )
 from .materials import ClampedLinear, Constant, MaterialPair
@@ -47,9 +45,6 @@ from .materials import ClampedLinear, Constant, MaterialPair
 TOL_ROOT = 1e-9        # |H(theta) - |V|| at accepted simple roots
 TOL_TANGENCY = 1e-6    # |H - |V|| below which a stationary point is a root
 SCAN_SAMPLES = 2048    # default theta-scan resolution
-# materialization integrates tighter than the general default so the
-# reconstructed solutions satisfy the nonlocal constraint at tol_root
-TOL_ODE_MATERIALIZE = 1e-12
 _FLOOR_FACTOR = 1e3    # scan floor at -1e3 * sqrt(2r)
 
 
@@ -77,26 +72,15 @@ class LoadResistanceProblem:
         return HittingTimeQuadrature(self.spec)
 
 
-def H_of_theta(prob: LoadResistanceProblem, theta: float,
-               method: str = "quadrature") -> float:
-    """H(theta) = I(theta) + S_load * y_c(theta).
-
-    method="quadrature" evaluates y_c by the phase-space energy quadrature
-    (fast, near machine precision); method="ivp" re-detects the hitting time
-    with the adaptive integrator as an independent check.
-    """
+def H_of_theta(prob: LoadResistanceProblem, theta: float) -> float:
+    """H(theta) = I(theta) + S_load * y_c(theta), y_c by the phase-space
+    energy quadrature."""
     if prob.spec.V == 0:
         raise ZeroVoltage("H(theta) needs V != 0")
     I = shooting_function(prob.spec, theta)
     if prob.S_load == 0.0:
         return I
-    if method == "quadrature":
-        y_c = prob._quadrature.y_c(theta)
-    elif method == "ivp":
-        y_c = integrate_ivp(prob.spec, theta).y_c
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return I + prob.S_load * y_c
+    return I + prob.S_load * prob._quadrature.y_c(theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +132,6 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
                         scan_samples: int = SCAN_SAMPLES,
                         tol_root: float = TOL_ROOT,
                         tol_tangency: float = TOL_TANGENCY,
-                        tol_ode: float = TOL_ODE_MATERIALIZE,
                         n_out: int = N_OUT) -> SolutionSet:
     """Find all solutions of H(theta) = |V| at the given scan resolution.
 
@@ -281,8 +264,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
 
     records = []
     for th, tang, res in roots:
-        traj = integrate_ivp(spec, th, tol_ode=tol_ode)
-        sol = _materialize(spec, traj, R_load=prob.R_load, n_out=n_out)
+        sol = quadrature.materialize(th, R_load=prob.R_load, n_out=n_out)
         R_int = sol.R_total - prob.R_load
         records.append(RootRecord(
             theta=th, y_c=sol.y_c, R_total=sol.R_total,
@@ -314,21 +296,6 @@ def clamped_H(rho_hat_h: float, M_hat: float, delta_u: float, S_load: float,
     """Exact H(theta) for the clamped profile (r = rho_hat_h * delta_u)."""
     I = theta + math.sqrt(theta * theta + 2.0 * rho_hat_h * delta_u)
     return I + S_load * clamped_hitting_time(rho_hat_h, M_hat, delta_u, theta)
-
-
-def clamped_profile_u(u_h: float, rho_hat_h: float, M_hat: float,
-                      theta: float, y) -> np.ndarray:
-    """Exact u(y) for the clamped profile: trig arc then parabola."""
-    y = np.asarray(y, dtype=float)
-    if theta <= 0:
-        return u_h + theta * y - 0.5 * rho_hat_h * y * y
-    sq = math.sqrt(M_hat)
-    y0 = math.atan(sq * theta / rho_hat_h) / sq
-    trig = (u_h + rho_hat_h / M_hat * (np.cos(sq * y) - 1.0)
-            + theta / sq * np.sin(sq * y))
-    s = y - 2.0 * y0
-    para = u_h - theta * s - 0.5 * rho_hat_h * s * s
-    return np.where(y <= 2.0 * y0, trig, para)
 
 
 @dataclass(frozen=True)

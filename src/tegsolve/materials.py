@@ -440,13 +440,13 @@ def model_from_json(d: dict) -> PropertyModel:
         if k not in d:
             raise InvalidMaterial(f"{fam} family is missing parameter {k!r}")
         kwargs[k] = d[k]
-    if fam == "table":
-        kwargs["knots"] = tuple(tuple(k) for k in kwargs["knots"])
-    if "domain_low" in d and d["domain_low"] is not None:
-        kwargs["domain_low"] = float(d["domain_low"])
     try:
+        if fam == "table":
+            kwargs["knots"] = tuple(tuple(k) for k in kwargs["knots"])
+        if "domain_low" in d and d["domain_low"] is not None:
+            kwargs["domain_low"] = float(d["domain_low"])
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidMaterial(f"bad parameters for family {fam!r}: {exc}") from exc
 
 
@@ -527,10 +527,14 @@ def pair_from_json(d: dict) -> MaterialPair:
     for key in ("kappa", "rho", "alpha0"):
         if key not in d:
             raise InvalidMaterial(f"material definition is missing key {key!r}")
+    try:
+        alpha0 = float(d["alpha0"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidMaterial(f"alpha0 must be a number: {exc}") from exc
     return MaterialPair(
         kappa=model_from_json(d["kappa"]),
         rho=model_from_json(d["rho"]),
-        alpha0=float(d["alpha0"]),
+        alpha0=alpha0,
     )
 
 

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import tegsolve as tg
-from tegsolve.ivp import TOL_ENERGY, TOL_EVENT
+from tegsolve.ivp import TOL_ENERGY
 
+import oracles
 from helpers import random_spec, three_solution_problem, two_solution_problem, unit_spec
+from oracles import TOL_EVENT
 
 
 @contextmanager
@@ -88,8 +90,8 @@ def test_04_shooting_function_oracle():
             for theta in rng.uniform(-5.0, 5.0, size=25):
                 theta = float(theta)
                 closed = tg.shooting_function(spec, theta)
-                traj = tg.integrate_ivp(spec, theta, tol_ode=1e-12)
-                integrated = tg.shooting_integral(traj, spec)
+                traj = oracles.integrate_ivp(spec, theta, tol_ode=1e-12)
+                integrated = oracles.shooting_integral(traj, spec)
                 assert abs(integrated - closed) <= 1e-8 * max(1.0, closed)
                 sym = tg.shooting_function(spec, -theta) + 2.0 * theta
                 assert abs(closed - sym) <= 1e-10 * max(1.0, closed)
@@ -153,8 +155,8 @@ def test_08_exact_solution_families():
         res = tg.enumerate_solutions(prob)
         for root in res.roots:
             sol = root.solution
-            exact_u = tg.clamped_profile_u(2.0, 2.0, 48.0, root.theta,
-                                           sol.x * root.y_c)
+            exact_u = oracles.clamped_profile_u(2.0, 2.0, 48.0, root.theta,
+                                                sol.x * root.y_c)
             assert np.max(np.abs(sol.T - exact_u)) <= 1e-6
 
 
@@ -171,9 +173,7 @@ def test_09_property_suite_on_randomized_specs():
                 T2 = spec.K.inverse(u)
                 assert abs(spec.K.forward(T2) - u) <= 1e-12 * max(1.0, abs(u))
 
-            # identity-class checks integrate tighter than the 1e-10 default
-            sol = tg.solve_ratio_mode(spec, gamma, tol_ode=1e-12)
-            tr = sol.trajectory
+            sol = tg.solve_ratio_mode(spec, gamma)
 
             # |J| = y_c / L and the nonlocal current constraint
             assert abs(sol.J) == sol.y_c / spec.L
@@ -188,8 +188,17 @@ def test_09_property_suite_on_randomized_specs():
             second = K[:-2] - 2.0 * K[1:-1] + K[2:]
             assert np.all(second <= 1e-10 * max(1.0, float(np.max(np.abs(K)))))
 
-            # energy identity at every trajectory sample
-            scale = max(1.0, tr.theta ** 2 + 2.0 * spec.rk)
+            # energy identity on the output profile, w from q = -w|J| + alpha0 T J
+            scale = max(1.0, sol.theta ** 2 + 2.0 * spec.rk)
+            w = (spec.alpha0 * sol.T * sol.J - sol.q) / abs(sol.J)
+            for w_i, T_i in zip(w, sol.T):
+                W = spec.coupling_from_hot(max(float(T_i), spec.T_c))
+                assert abs(w_i ** 2 - (sol.theta ** 2 - 2.0 * W)) \
+                    <= TOL_ENERGY * scale
+
+            # the same identity at every sample of an oracle trajectory, which
+            # integrates tighter than its 1e-10 default for identity-class checks
+            tr = oracles.integrate_ivp(spec, sol.theta, tol_ode=1e-12)
             for w_i, T_i in zip(tr.u_y, tr.T):
                 W = spec.coupling_from_hot(max(float(T_i), spec.T_c))
                 assert abs(w_i ** 2 - (tr.theta ** 2 - 2.0 * W)) \

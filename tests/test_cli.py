@@ -186,10 +186,47 @@ def test_multiplicity_outputs_byte_identical(tmp_path):
 def test_cli_overrides_reach_config(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert cli.main(["multiplicity", "--config", str(cfg), "--scan-samples",
-                     "512", "--tol-ode", "1e-9", "--dump-config"]) == 0
+                     "512", "--dump-config"]) == 0
     dumped = json.loads(capsys.readouterr().out)
     assert dumped["tolerances"]["scan_samples"] == 512
-    assert dumped["tolerances"]["tol_ode"] == 1e-9
+
+
+def test_tol_ode_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, tolerances={"tol_ode": 1e-10})
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert "tol_ode" in record["message"] and "quadrature" in record["message"]
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--config", str(cfg), "--tol-ode", "1e-9"])
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"n_out": 0}, {"n_out": -4}, {"scan_samples": 1},
+], ids=["n_out_zero", "n_out_negative", "scan_samples_one"])
+def test_tolerance_range_exit_code_and_record(tmp_path, capsys, tolerances):
+    cfg = _write_config(tmp_path, tolerances=tolerances)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert next(iter(tolerances)) in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("material", [
+    {"kappa": {"family": "constant", "c": 1.0},
+     "rho": {"family": "constant", "c": 1.0}, "alpha0": "abc"},
+    {"kappa": {"family": "table", "knots": [[1.0, 1.0], [2, "x"]]},
+     "rho": {"family": "constant", "c": 1.0}, "alpha0": 1.0},
+], ids=["alpha0_text", "table_knot_text"])
+def test_non_numeric_material_field_exit_code_and_record(tmp_path, capsys, material):
+    mat = tmp_path / "material.json"
+    mat.write_text(json.dumps(material))
+    cfg = _write_config(tmp_path, material_file=str(mat))
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_MATERIAL
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidMaterial"
+    assert record["exit_code"] == cli.EXIT_MATERIAL
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

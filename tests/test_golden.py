@@ -5,8 +5,9 @@ between environments (Python 3.11.7, numpy 2.4.6, scipy 1.17.1 against the
 environment that wrote out/):
 
 * H and its theta grid come from the quadrature alone and drift ~2e-15.
-* A simple root's y_c, R_total and eta come from the RK45 materialisation at
-  tol_ode 1e-12 and drift up to ~3e-11; its theta drifts ~1e-14.
+* A simple root's theta drifts ~1e-14.  Its y_c, R_total and eta were
+  written by an RK45 materialisation at tol_ode 1e-12 and are now computed by
+  the phase-space quadrature; the two agree to ~3e-11.
 * gamma_equiv = R_load / (R_total - R_load) multiplies R_total's relative
   error by R_total / R_int, under 3 in these legs (measured 4.1e-11).
 * The tangency root minimises (H - |V|)^2, which fixes theta only to about

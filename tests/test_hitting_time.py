@@ -10,6 +10,7 @@ import pytest
 import tegsolve as tg
 from tegsolve import loadmode, materials
 
+import oracles
 from helpers import make_model, random_spec, three_solution_problem, two_solution_problem
 
 REL = 1e-13  # summation order differs from the loop; the arithmetic does not
@@ -200,7 +201,7 @@ def test_y_c_does_not_depend_on_earlier_theta():
     # the grid and leaves the nodes that y_c(3 s) reads untouched
     spec = _spec_at(3, 2)
     s = math.sqrt(2.0 * spec.rk)
-    ref = tg.integrate_ivp(spec, 3.0 * s, tol_ode=1e-12).y_c
+    ref = oracles.integrate_ivp(spec, 3.0 * s, tol_ode=1e-12).y_c
     q = tg.HittingTimeQuadrature(spec)
     first = q.y_c(3.0 * s)
     assert abs(first - ref) <= 1e-10 * ref
@@ -212,7 +213,7 @@ def test_y_c_on_appended_grid_matches_rk45():
     # reciprocal kappa x table rho: theta = 4 s appends 13 blocks to the grid
     spec = _spec_at(71, 12)
     theta = 4.0 * math.sqrt(2.0 * spec.rk)
-    ref = tg.integrate_ivp(spec, theta, tol_ode=1e-12).y_c
+    ref = oracles.integrate_ivp(spec, theta, tol_ode=1e-12).y_c
     y = tg.HittingTimeQuadrature(spec).y_c(theta)
     assert abs(y - ref) <= 1e-10 * ref
 

@@ -7,9 +7,11 @@ import pytest
 
 import tegsolve as tg
 from tegsolve.errors import NonPositiveHotFlux, ScanIncomplete
-from tegsolve.ivp import TOL_ENERGY, TOL_ETA, TOL_EVENT
+from tegsolve.ivp import TOL_ENERGY, TOL_ETA
 
+import oracles
 from helpers import random_spec, unit_spec
+from oracles import TOL_EVENT
 
 
 # ---------------------------------------------------------------------------
@@ -18,7 +20,7 @@ from helpers import random_spec, unit_spec
 
 def test_parabola_theta_zero():
     spec = unit_spec()
-    tr = tg.integrate_ivp(spec, 0.0)
+    tr = oracles.integrate_ivp(spec, 0.0)
     assert tr.y_c == pytest.approx(math.sqrt(2.0), abs=1e-10)
     ys = np.linspace(0.0, tr.y_c, 40)
     u, w, T = tr.at(ys)
@@ -27,7 +29,7 @@ def test_parabola_theta_zero():
 
 
 def test_parabola_theta_negative():
-    tr = tg.integrate_ivp(unit_spec(), -1.0)
+    tr = oracles.integrate_ivp(unit_spec(), -1.0)
     assert tr.y_c == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-10)
     ys = np.linspace(0.0, tr.y_c, 40)
     u, _, _ = tr.at(ys)
@@ -35,7 +37,7 @@ def test_parabola_theta_negative():
 
 
 def test_parabola_theta_positive_symmetry():
-    tr = tg.integrate_ivp(unit_spec(), 1.0)
+    tr = oracles.integrate_ivp(unit_spec(), 1.0)
     assert tr.y_peak == pytest.approx(1.0, abs=1e-9)
     assert tr.y_c == pytest.approx(1.0 + math.sqrt(3.0), abs=1e-9)
     # u symmetric about the turning point
@@ -74,7 +76,7 @@ def test_trajectory_invariants_random():
         spec = random_spec(rng, idx)
         theta = tg.matched_initial_slope(spec, rng.uniform(0.0, 5.0))
         _check_trajectory_invariants(
-            spec, tg.integrate_ivp(spec, theta, tol_ode=1e-12))
+            spec, oracles.integrate_ivp(spec, theta, tol_ode=1e-12))
 
 
 def test_symmetry_of_hitting_times():
@@ -82,8 +84,8 @@ def test_symmetry_of_hitting_times():
     for idx in range(6):
         spec = random_spec(rng, idx)
         theta = abs(tg.matched_initial_slope(spec, 0.0)) + rng.uniform(0.1, 1.0)
-        up = tg.integrate_ivp(spec, theta, tol_ode=1e-12)
-        down = tg.integrate_ivp(spec, -theta, tol_ode=1e-12)
+        up = oracles.integrate_ivp(spec, theta, tol_ode=1e-12)
+        down = oracles.integrate_ivp(spec, -theta, tol_ode=1e-12)
         lhs = up.y_c
         rhs = 2.0 * up.y_peak + down.y_c
         # two independent trajectories: global error ~100x the local tolerance
@@ -95,8 +97,8 @@ def test_shooting_integral_matches_closed_form():
     for idx in range(8):
         spec = random_spec(rng, idx)
         theta = rng.uniform(-5.0, 5.0)
-        tr = tg.integrate_ivp(spec, theta, tol_ode=1e-12)
-        got = tg.shooting_integral(tr, spec)
+        tr = oracles.integrate_ivp(spec, theta, tol_ode=1e-12)
+        got = oracles.shooting_integral(tr, spec)
         expect = tg.shooting_function(spec, theta)
         assert abs(got - expect) <= 1e-8 * max(1.0, expect)
 
@@ -107,7 +109,7 @@ def test_quadrature_hitting_time_matches_ivp():
         spec = random_spec(rng, idx)
         q = tg.HittingTimeQuadrature(spec)
         for theta in rng.uniform(-4.0, 4.0, size=3):
-            y_ivp = tg.integrate_ivp(spec, float(theta), tol_ode=1e-12).y_c
+            y_ivp = oracles.integrate_ivp(spec, float(theta), tol_ode=1e-12).y_c
             assert q.y_c(float(theta)) == pytest.approx(y_ivp, rel=1e-9, abs=1e-11)
 
 
@@ -116,9 +118,61 @@ def test_quadrature_grid_extension_for_large_slopes():
     # extend (and the trajectory to climb well above T_h) before descending
     spec = unit_spec(alpha0=30.0)
     q = tg.HittingTimeQuadrature(spec)
-    y_ref = tg.integrate_ivp(spec, 25.0, tol_ode=1e-12).y_c
+    y_ref = oracles.integrate_ivp(spec, 25.0, tol_ode=1e-12).y_c
     assert y_ref > 50.0  # long climb: y_peak = 25 for unit resistivity
     assert q.y_c(25.0) == pytest.approx(y_ref, rel=1e-9)
+
+
+def test_materialized_profile_matches_rk45():
+    # the quadrature's profile against an independent RK45 trajectory of the
+    # same slope; R_int is the closed form L I(theta) / (y_c A_c) against the
+    # integrated resistivity state, which carries the integrator's error
+    rng = np.random.default_rng(29)
+    for idx in range(8):
+        spec = random_spec(rng, idx)
+        gamma = rng.uniform(0.0, 5.0)
+        sol = tg.solve_ratio_mode(spec, gamma)
+        tr = oracles.integrate_ivp(spec, sol.theta, tol_ode=1e-12)
+        assert sol.y_c == pytest.approx(tr.y_c, rel=1e-9)
+        T_ref = tr.at(sol.x * (tr.y_c / spec.L))[2]
+        assert np.max(np.abs(sol.T - T_ref)) <= 1e-9 * spec.T_h
+        R_int = spec.L * tr.constraint_at(tr.y_c) / (tr.y_c * spec.A_c)
+        assert sol.R_total / (1.0 + gamma) == pytest.approx(R_int, rel=1e-8)
+
+
+def test_materialize_where_rk45_event_polish_fails():
+    # table kappa x reciprocal rho, T_c 108.5 K: at theta = 4 sqrt(2r) the
+    # hitting time is ~3.6e5, and the RK45 oracle's event polish does not
+    # converge at any tol_ode from 1e-10 to 1e-13
+    rng = np.random.default_rng(71)
+    for idx in range(24):
+        spec = random_spec(rng, idx)
+    theta = 4.0 * math.sqrt(2.0 * spec.rk)
+    q = tg.HittingTimeQuadrature(spec)
+    sol = q.materialize(theta, R_load=0.0)
+    # two partitions of one integral: 6.4e-16 apart when measured
+    assert sol.y_c == pytest.approx(364301.87, rel=1e-8)
+    assert abs(sol.y_c - q.y_c(theta)) <= 1e-14 * sol.y_c
+    assert sol.T[0] == spec.T_h
+    assert abs(sol.T[-1] - spec.T_c) <= 1e-12 * spec.T_c  # 8.8e-13 K measured
+    w = (spec.alpha0 * sol.T * sol.J - sol.q) / abs(sol.J)
+    W = np.array([spec.coupling_from_hot(float(T)) for T in sol.T])
+    scale = max(1.0, theta ** 2 + 2.0 * spec.rk)
+    assert np.max(np.abs(w ** 2 - (theta ** 2 - 2.0 * W))) <= TOL_ENERGY * scale
+
+
+def test_materialize_with_panel_below_an_ulp_of_y():
+    # a table knot 1e-13 K above T_h puts a kink image a few ulps from
+    # -theta, where rho is 50x lower above T_h and y is large: that
+    # sub-interval adds no step in y (4.4e-15 from y_c when measured)
+    rho = tg.table([(1.0, 1.0), (2.0 + 1e-13, 1.0), (3.0, 0.02)])
+    spec = tg.GeneratorSpec(pair=tg.MaterialPair(tg.constant(1.0), rho, 3.0),
+                            T_h=2.0, T_c=1.0)
+    q = tg.HittingTimeQuadrature(spec)
+    sol = q.materialize(20.0, R_load=1.0)
+    assert abs(sol.y_c - q.y_c(20.0)) <= 1e-13 * sol.y_c
+    assert sol.T[0] == spec.T_h
+    assert abs(sol.T[-1] - spec.T_c) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +261,8 @@ def test_oracle_equivalence_sample():
 
 
 def test_ratio_mode_retries_on_cold_end_error():
-    # at tol_ode 1e-10 this leg's RK45 run ends 1.4 mK above T_c while the
-    # current is consistent to 3e-16, which put eta 2.23e-6 off the closed form
+    # a leg whose cold-end temperature once missed T_c by 1.4 mK while the
+    # current was consistent to 3e-16, which put eta 2.23e-6 off the closed form
     pair = tg.MaterialPair(kappa=tg.reciprocal(736.9935759190353),
                            rho=tg.constant(0.6937588574268294),
                            alpha0=0.08729082737537555)
@@ -293,7 +347,7 @@ def test_fixed_step_rk4_order():
     theta, y_end = -0.5, 0.5
     exact = 2.0 * math.cos(y_end) + theta * math.sin(y_end)
     ns = (16, 32, 64, 128, 256)
-    errs = [abs(tg.integrate_fixed_step(spec, theta, y_end, n)[0] - exact)
+    errs = [abs(oracles.integrate_fixed_step(spec, theta, y_end, n)[0] - exact)
             for n in ns]
     ratios = [e1 / e2 for e1, e2 in zip(errs, errs[1:])]
     assert all(r >= 15.5 for r in ratios)

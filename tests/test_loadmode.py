@@ -8,6 +8,7 @@ import pytest
 import tegsolve as tg
 from tegsolve.errors import DomainError, InvalidMaterial
 
+import oracles
 from helpers import three_solution_problem, two_solution_problem, unit_spec
 
 
@@ -25,7 +26,7 @@ def test_H_worked_value_at_sqrt3_over_2():
     # closed constant: -(3/2) sqrt(3) + (5/2) sqrt(19) + (4/sqrt 3) arctan 3
     assert ALPHA_3 == pytest.approx(11.18, abs=5e-3)
     assert tg.H_of_theta(prob, th1) == pytest.approx(ALPHA_3, rel=1e-9)
-    assert tg.H_of_theta(prob, th1, method="ivp") == pytest.approx(ALPHA_3, rel=1e-7)
+    assert oracles.H_of_theta_ivp(prob, th1) == pytest.approx(ALPHA_3, rel=1e-7)
     assert tg.clamped_H(2.0, 48.0, 1.0, 8.0, th1) == pytest.approx(ALPHA_3, rel=1e-14)
 
 
@@ -47,7 +48,7 @@ def test_clamped_closed_forms_cross_check():
     for th in (-2.0, -0.4, 0.0, 0.5, 0.866, 1.5, 3.0):
         exact = tg.clamped_hitting_time(2.0, 48.0, 1.0, th)
         assert q.y_c(th) == pytest.approx(exact, rel=1e-10)
-        assert tg.integrate_ivp(prob.spec, th, tol_ode=1e-12).y_c == pytest.approx(
+        assert oracles.integrate_ivp(prob.spec, th, tol_ode=1e-12).y_c == pytest.approx(
             exact, rel=1e-9)
 
 
@@ -111,8 +112,8 @@ def test_three_solution_profiles_match_closed_form():
     res = tg.enumerate_solutions(prob)
     for root in res.roots:
         sol = root.solution
-        exact_u = tg.clamped_profile_u(2.0, 2.0, 48.0, root.theta,
-                                       sol.x * root.y_c)
+        exact_u = oracles.clamped_profile_u(2.0, 2.0, 48.0, root.theta,
+                                            sol.x * root.y_c)
         assert np.max(np.abs(sol.T - exact_u)) <= 1e-6  # kappa = 1: T = u
 
 
