@@ -23,7 +23,6 @@ from .errors import (
 from .materials import (
     ClampedLinear,
     Constant,
-    KTransform,
     Linear,
     LogAffine,
     MaterialPair,
@@ -33,7 +32,6 @@ from .materials import (
     WiedemannFranz,
     clamped_linear,
     constant,
-    coupling_from,
     eval_property,
     linear,
     log_affine,

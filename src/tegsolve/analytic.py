@@ -12,7 +12,8 @@ function I(theta) = theta + sqrt(theta^2 + 2r) gives the value of the nonlocal
 current constraint as a function of the initial slope in transformed
 coordinates; its unique preimage theta* fixes the hot-side Fourier flux per
 unit current.  All formulas here are pure functions of the spec and are
-cross-checked against the trajectory solver in the test suite.
+cross-checked against the trajectory solver in the test suite.  r and the
+transform K come from the Gauss-Legendre pass of materials.segment_integrals.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateError, DomainError, ZeroSeebeck, ZeroVoltage
-from .materials import KTransform, MaterialPair, _ret, coupling_from, rho_kappa_integral
+from .materials import MaterialPair, _ret, rho_kappa_integral, segment_integrals
 
 
 @dataclass(frozen=True)
@@ -70,13 +71,32 @@ class GeneratorSpec:
         """Seebeck voltage alpha0 * (T_h - T_c), signed."""
         return self.alpha0 * self.delta_T
 
-    @cached_property
-    def K(self) -> KTransform:
-        return KTransform(self.pair.kappa, self.T_c)
+    def K(self, T):
+        """u = K(T) = T_c + \\int_{T_c}^{T} kappa dT for T >= T_c: a float for
+        scalar T, else an array of T's shape.  DomainError below T_c or for
+        a T that is not finite."""
+        T = np.asarray(T, dtype=float)
+        if not np.all((T >= self.T_c) & np.isfinite(T)):
+            raise DomainError(f"K(T) needs finite T >= T_c={self.T_c}")
+        grid, u = self.K_table(np.max(T, initial=self.T_c), extra=T)
+        return _ret(u[np.searchsorted(grid, T)])
+
+    def K_table(self, T_top: float, extra=()):
+        """Nodes of segment_integrals on [T_c, T_top], the extra temperatures
+        merged in, and K on them: running sums of the segment integrals with
+        each addition's rounding error added back (TwoSum), so every K is as
+        accurate as a pairwise sum."""
+        grid, seg = segment_integrals(self.pair, self.pair.kappa.value,
+                                      self.T_c, T_top, extra=extra)
+        x = np.concatenate([[self.T_c], seg])
+        u = np.cumsum(x)
+        prev = np.concatenate([[0.0], u[:-1]])
+        err = (prev - (u - (u - prev))) + (x - (u - prev))
+        return grid, u + np.cumsum(err)
 
     @cached_property
     def u_h(self) -> float:
-        return self.K.forward(self.T_h)
+        return self.K(self.T_h)
 
     @property
     def u_c(self) -> float:
@@ -86,10 +106,6 @@ class GeneratorSpec:
     def rk(self) -> float:
         """Coupling integral r over [T_c, T_h]."""
         return rho_kappa_integral(self.pair, self.T_c, self.T_h)
-
-    def coupling_from_hot(self, T: float) -> float:
-        """Signed \\int_{T_h}^{T} rho kappa dT (cumulative from the hot end)."""
-        return coupling_from(self.pair, self.T_h, T)
 
 
 def figure_of_merit(spec: GeneratorSpec) -> float:

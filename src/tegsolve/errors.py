@@ -18,7 +18,9 @@ class NonPositiveValue(TegError):
 
 
 class RangeError(TegError):
-    """Inverse-transform target outside [T_c, K_infinity)."""
+    """A value outside the range a transform covers.  No package route raises
+    it now that K is evaluated only forward and inverted by a spline on
+    [u_c, u_h]; the name stays for callers that catch it."""
 
 
 class InvalidMaterial(TegError):

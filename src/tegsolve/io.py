@@ -13,7 +13,16 @@ from pathlib import Path
 from .errors import ConfigError, InvalidMaterial
 from .materials import MaterialPair, pair_from_json
 
-MODE_TYPES = ("ratio", "resistance", "sweep", "multiplicity")
+CONFIG_KEYS = ("material_file", "T_h", "T_c", "L", "A_c", "mode", "output_dir",
+               "tolerances")
+# each mode type and its own fields, besides "type"
+MODE_FIELDS = {
+    "ratio": ("gamma",),
+    "resistance": ("R_load",),
+    "sweep": ("gamma_min", "gamma_max", "n"),
+    "multiplicity": ("R_load",),
+}
+TOLERANCE_KEYS = ("scan_samples", "n_out", "tol_root", "sweep_gamma_max", "sweep_n")
 
 
 def fmt(x) -> str:
@@ -56,8 +65,8 @@ class RunConfig:
 
     mode is a dict with a "type" key (ratio | resistance | sweep |
     multiplicity) plus the mode's parameters; tolerances holds optional
-    numeric overrides (tol_root, scan_samples, n_out, gamma sweep bounds for
-    reports).
+    numeric overrides (tol_root, scan_samples, n_out, and sweep_gamma_max and
+    sweep_n for reports).  Any other key is a ConfigError.
     """
 
     material_file: str
@@ -87,21 +96,31 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _reject_unknown(where: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in "
+                          f"{where}; allowed: {', '.join(allowed)}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
     _require(isinstance(data, dict), "config must be a JSON object")
+    _reject_unknown("the config", data, CONFIG_KEYS)
     for key in ("material_file", "T_h", "T_c", "mode"):
         _require(key in data, f"config is missing required key {key!r}")
     mode = data["mode"]
     _require(isinstance(mode, dict) and "type" in mode,
              "config 'mode' must be an object with a 'type' key")
     mtype = mode["type"]
-    _require(mtype in MODE_TYPES,
-             f"mode type {mtype!r} not one of {list(MODE_TYPES)}")
+    _require(isinstance(mtype, str) and mtype in MODE_FIELDS,
+             f"mode type {mtype!r} not one of {list(MODE_FIELDS)}")
+    _reject_unknown(f"{mtype} 'mode'", mode, ("type",) + MODE_FIELDS[mtype])
     tol = data.get("tolerances", {})
     _require(isinstance(tol, dict), "'tolerances' must be an object")
     _require("tol_ode" not in tol,
              "'tolerances.tol_ode' no longer applies: profiles come from the "
              "phase-space quadrature, which integrates no ODE")
+    _reject_unknown("'tolerances'", tol, TOLERANCE_KEYS)
     try:
         cfg = RunConfig(
             material_file=str(data["material_file"]),

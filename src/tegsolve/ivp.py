@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline
 
 from .analytic import GeneratorSpec, matched_initial_slope, shooting_function
@@ -37,13 +35,12 @@ from .errors import (
     NonPositiveHotFlux,
     NumericalBlowup,
 )
-from .materials import _ret
+from .materials import _gauss_legendre, _ret, segment_integrals
 
 TOL_ETA = 1e-6      # closed-form vs flux-ratio efficiency agreement
 TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
-_W_GL_ORDER = 8     # GL nodes per W-grid segment: exact for rho*kappa of degree <= 15
 _PROFILE_INTERVALS = 512  # GL sub-intervals in w behind one materialised profile
 
 
@@ -70,25 +67,30 @@ class TemperatureSolution:
     R_load: float | None = None
 
 
+def _check_n_out(n_out: int) -> None:
+    if not n_out >= 1:
+        raise DomainError(f"a profile needs n_out >= 1 output intervals, got {n_out}")
+
+
 def _k_linear_solution(spec: GeneratorSpec, gamma: float,
                        n_out: int) -> TemperatureSolution:
-    """Zero-voltage branch: (K(T))'' = 0, so K(T) is affine in x and J = 0."""
+    """Zero-voltage branch: (K(T))'' = 0, so K(T) is affine in x and J = 0.
+
+    T = K^{-1}(u) is a cubic Hermite spline on the nodes of K with the exact
+    slope dT/du = 1 / kappa, and R_int = L r / ((u_h - u_c) A_c), because
+    dx = L kappa dT / (u_h - u_c) along the profile.
+    """
+    _check_n_out(n_out)
     x = np.linspace(0.0, spec.L, n_out + 1)
-    u = spec.u_h + (spec.u_c - spec.u_h) * (x / spec.L)
-    T = np.array([spec.K.inverse(min(max(ui, spec.u_c), spec.u_h)) for ui in u])
-    q = np.full_like(x, (spec.u_h - spec.u_c) / spec.L)
-
-    def rho_on_line(xx):
-        ui = spec.u_h + (spec.u_c - spec.u_h) * (xx / spec.L)
-        return spec.pair.rho.value(spec.K.inverse(min(max(ui, spec.u_c), spec.u_h)))
-
     if spec.delta_T == 0:
+        T = np.full_like(x, spec.T_c)
         R_int = spec.pair.rho.value(spec.T_c) * spec.L / spec.A_c
     else:
-        scale = abs(spec.pair.rho.value(spec.T_m)) * spec.L
-        val, _ = quad(rho_on_line, 0.0, spec.L,
-                      epsabs=max(1e-300, 1e-13 * scale), epsrel=1e-11, limit=200)
-        R_int = val / spec.A_c
+        grid, K = spec.K_table(spec.T_h)
+        K_inv = CubicHermiteSpline(K, grid, 1.0 / spec.pair.kappa.value(grid))
+        T = K_inv(np.linspace(spec.u_h, spec.u_c, n_out + 1))
+        R_int = spec.L * spec.rk / ((spec.u_h - spec.u_c) * spec.A_c)
+    q = np.full_like(x, (spec.u_h - spec.u_c) / spec.L)
     return TemperatureSolution(
         x=x, T=T, q=q, theta=(spec.u_c - spec.u_h) / spec.L, y_c=0.0, J=0.0,
         R_total=(1.0 + gamma) * R_int, q_h=float(q[0]), q_c=float(q[-1]),
@@ -142,7 +144,7 @@ def verify_solution(sol: TemperatureSolution, spec: GeneratorSpec) -> ResidualRe
     grid, boundary mismatches, and the nonlocal current constraint."""
     x, T = sol.x, sol.T
     h = float(x[1] - x[0])
-    K = spec.K.forward_many(T)
+    K = spec.K(T)
     rho = np.asarray(spec.pair.rho.value(T), dtype=float)
     second = (K[:-2] - 2.0 * K[1:-1] + K[2:]) / (h * h)
     ode_residual = float(np.max(np.abs(second + rho[1:-1] * sol.J ** 2)))
@@ -157,12 +159,6 @@ def verify_solution(sol: TemperatureSolution, spec: GeneratorSpec) -> ResidualRe
         boundary_error_cold=abs(float(T[-1]) - spec.T_c),
         nonlocal_residual=nonlocal_residual,
     )
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
 
 
 class HittingTimeQuadrature:
@@ -207,17 +203,12 @@ class HittingTimeQuadrature:
 
     def _w_block(self, lo: float, hi: float, W_lo: float):
         """Nodes on [lo, hi] (n_base uniform plus the kinks and T_h inside)
-        and W on them, counted from W(lo) = W_lo: one array pass of
-        fixed-order Gauss-Legendre over every segment."""
+        and W on them, counted from W(lo) = W_lo: the cumulative sum of
+        segment_integrals of rho * kappa."""
         pair = self.spec.pair
-        splits = [t for m in (pair.kappa, pair.rho) for t in m.kinks()] + [self.spec.T_h]
-        grid = np.unique(np.concatenate(
-            [np.linspace(lo, hi, self.n_base), [t for t in splits if lo < t < hi]]))
-        nodes, weights = _gauss_legendre(_W_GL_ORDER)
-        half = 0.5 * np.diff(grid)
-        T = half[:, None] * nodes + (0.5 * (grid[:-1] + grid[1:]))[:, None]
-        f = pair.kappa.value(T) * pair.rho.value(T)
-        W = W_lo + np.concatenate([[0.0], np.cumsum(half * (f @ weights))])
+        grid, seg = segment_integrals(pair, pair.rho_kappa, lo, hi, self.n_base,
+                                      extra=(self.spec.T_h,))
+        W = W_lo + np.concatenate([[0.0], np.cumsum(seg)])
         stall = np.flatnonzero(~(np.diff(W) > 0))
         if stall.size:
             raise NumericalBlowup(
@@ -229,9 +220,8 @@ class HittingTimeQuadrature:
     def _fit(self):
         """Hermite spline of W^{-1} and the W-images of the kinks."""
         pair, grid, W = self.spec.pair, self._grid_T, self._grid_W
-        dTdW = 1.0 / (np.asarray(pair.kappa.value(grid), dtype=float)
-                      * np.asarray(pair.rho.value(grid), dtype=float))
-        self._inv = CubicHermiteSpline(W, grid, dTdW, extrapolate=False)
+        self._inv = CubicHermiteSpline(W, grid, 1.0 / pair.rho_kappa(grid),
+                                       extrapolate=False)
         kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
         self._kink_q = sorted({
             float(W[int(np.searchsorted(grid, t))]) for t in kk
@@ -334,6 +324,7 @@ class HittingTimeQuadrature:
         output points, and T = W^{-1}((theta^2 - w^2) / 2) on them.
         """
         spec = self.spec
+        _check_n_out(n_out)
         if theta > 0:
             self._ensure(0.5 * theta * theta)
         pts = self._splits(np.array([theta]))[0]

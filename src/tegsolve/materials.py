@@ -1,4 +1,4 @@
-"""Temperature-dependent material properties and the conductivity transform.
+"""Temperature-dependent material properties and their integrals.
 
 A thermoelectric leg is described by a thermal conductivity kappa(T), an
 electrical resistivity rho(T) (both strictly positive on the operating range)
@@ -11,32 +11,30 @@ two integrals of these models:
   * the coupling integral  r = \\int rho(T) kappa(T) dT,
     which fixes the figure of merit and the shooting function.
 
-Symbolic families carry exact antiderivatives; products without a closed form
-fall back to adaptive Gauss-Kronrod quadrature (scipy.integrate.quad) with the
-models' kink temperatures passed as breakpoints.
+Both, and the running coupling integral W behind the hitting-time quadrature,
+come from one primitive, segment_integrals: 8-point Gauss-Legendre on every
+segment between uniform nodes and the models' kink temperatures, so the
+integrand is smooth on each segment and every family, closed form or not,
+takes the same route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
     InvalidMaterial,
     NonPositiveValue,
-    RangeError,
 )
 
-# Default relative tolerance for adaptive quadrature of property products.
-TOL_QUAD = 1e-10
-# Default |K(T) - u| target (in u units, scaled by max(1, |u|)) for the inverse.
-TOL_INVERSE = 1e-12
+N_NODES = 1025   # uniform nodes behind every scalar property integral
+_GL_ORDER = 8    # GL nodes per segment: exact for integrands of degree <= 15
 
 
 def _ret(x):
@@ -59,10 +57,8 @@ def _require_finite(model: "PropertyModel") -> None:
 class PropertyModel:
     """Base class for positive scalar property functions of temperature.
 
-    Subclasses provide raw evaluation (``value``), an exact signed integral
-    where the family admits one, kink temperatures (slope discontinuities,
-    used as quadrature breakpoints), and the supremum of the temperature range
-    on which the value stays positive.
+    Subclasses provide raw evaluation (``value``) and kink temperatures
+    (slope discontinuities, which every integral uses as segment ends).
     """
 
     family: ClassVar[str] = "abstract"
@@ -72,16 +68,8 @@ class PropertyModel:
     def value(self, T):
         raise NotImplementedError
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Signed integral of the property between two temperatures."""
-        raise NotImplementedError
-
     def kinks(self) -> tuple[float, ...]:
         return ()
-
-    def positivity_limit(self) -> float:
-        """Supremum of T for which the value stays positive (may be inf)."""
-        return math.inf
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -106,9 +94,6 @@ class Constant(PropertyModel):
 
     def value(self, T):
         return _ret(self.c + 0.0 * np.asarray(T, dtype=float))
-
-    def integral(self, lo, hi):
-        return self.c * (hi - lo)
 
     def params(self):
         return {"c": self.c}
@@ -138,14 +123,6 @@ class Linear(PropertyModel):
     def value(self, T):
         return _ret(self.a * np.asarray(T, dtype=float) + self.b)
 
-    def integral(self, lo, hi):
-        return 0.5 * self.a * (hi * hi - lo * lo) + self.b * (hi - lo)
-
-    def positivity_limit(self):
-        if self.a < 0:
-            return -self.b / self.a
-        return math.inf
-
     def params(self):
         return {"a": self.a, "b": self.b}
 
@@ -166,11 +143,6 @@ class Reciprocal(PropertyModel):
 
     def value(self, T):
         return _ret(self.c / np.asarray(T, dtype=float))
-
-    def integral(self, lo, hi):
-        if min(lo, hi) <= 0:
-            raise DomainError("reciprocal integral needs temperatures > 0")
-        return self.c * math.log(hi / lo)
 
     def params(self):
         return {"c": self.c}
@@ -204,20 +176,6 @@ class LogAffine(PropertyModel):
         T = np.asarray(T, dtype=float)
         return _ret(self.c0 * (1.0 + self.c1 * np.log(T / self.T_ref)))
 
-    def integral(self, lo, hi):
-        if min(lo, hi) <= 0:
-            raise DomainError("log_affine integral needs temperatures > 0")
-
-        def anti(T):
-            return self.c0 * T * (1.0 - self.c1 + self.c1 * math.log(T / self.T_ref))
-
-        return anti(hi) - anti(lo)
-
-    def positivity_limit(self):
-        if self.c1 < 0:
-            return self.T_ref * math.exp(-1.0 / self.c1)
-        return math.inf
-
     def params(self):
         return {"c0": self.c0, "c1": self.c1, "T_ref": self.T_ref}
 
@@ -246,22 +204,8 @@ class ClampedLinear(PropertyModel):
         ramp = self.M * (T - self.T_pivot) + self.v_pivot
         return _ret(np.where(T < self.T_pivot, self.v_pivot, ramp))
 
-    def integral(self, lo, hi):
-        def anti(T):
-            out = self.v_pivot * T
-            if T > self.T_pivot:
-                out += 0.5 * self.M * (T - self.T_pivot) ** 2
-            return out
-
-        return anti(hi) - anti(lo)
-
     def kinks(self):
         return (self.T_pivot,)
-
-    def positivity_limit(self):
-        if self.M < 0:
-            return self.T_pivot + self.v_pivot / (-self.M)
-        return math.inf
 
     def params(self):
         return {"M": self.M, "T_pivot": self.T_pivot, "v_pivot": self.v_pivot}
@@ -295,20 +239,6 @@ class WiedemannFranz(PropertyModel):
     def value(self, T):
         T = np.asarray(T, dtype=float)
         return _ret(self.Lo * T / np.asarray(self._partner().value(T), dtype=float))
-
-    def integral(self, lo, hi):
-        partner = self._partner()
-        if lo == hi:
-            return 0.0
-        a, b, sign = (lo, hi, 1.0) if lo < hi else (hi, lo, -1.0)
-        pts = [t for t in partner.kinks() if a < t < b]
-        scale = abs(self.value(0.5 * (a + b))) * (b - a)
-        val, _ = quad(
-            self.value, a, b,
-            epsabs=max(1e-300, 1e-13 * scale), epsrel=TOL_QUAD,
-            points=pts or None, limit=200,
-        )
-        return sign * val
 
     def kinks(self):
         return self._partner().kinks()
@@ -354,28 +284,8 @@ class Table(PropertyModel):
     def _v(self):
         return np.array([v for _, v in self.knots])
 
-    @cached_property
-    def _cum(self):
-        # exact integral of the piecewise-linear interpolant at each knot
-        seg = 0.5 * (self._v[1:] + self._v[:-1]) * np.diff(self._T)
-        return np.concatenate([[0.0], np.cumsum(seg)])
-
     def value(self, T):
         return _ret(np.interp(np.asarray(T, dtype=float), self._T, self._v))
-
-    def _anti(self, T):
-        Ts, vs, cum = self._T, self._v, self._cum
-        if T <= Ts[0]:
-            return vs[0] * (T - Ts[0])
-        if T >= Ts[-1]:
-            return cum[-1] + vs[-1] * (T - Ts[-1])
-        i = int(np.searchsorted(Ts, T, side="right") - 1)
-        t = T - Ts[i]
-        slope = (vs[i + 1] - vs[i]) / (Ts[i + 1] - Ts[i])
-        return cum[i] + vs[i] * t + 0.5 * slope * t * t
-
-    def integral(self, lo, hi):
-        return self._anti(hi) - self._anti(lo)
 
     def kinks(self):
         return tuple(self._T)
@@ -515,6 +425,10 @@ class MaterialPair:
         eval_property(self.kappa, probes)
         eval_property(self.rho, probes)
 
+    def rho_kappa(self, T):
+        """The coupling integrand rho(T) * kappa(T), unchecked."""
+        return self.kappa.value(T) * self.rho.value(T)
+
     def to_json(self) -> dict:
         return {
             "kappa": self.kappa.to_json(),
@@ -538,52 +452,41 @@ def pair_from_json(d: dict) -> MaterialPair:
     )
 
 
-def _closed_form_product(f: PropertyModel, g: PropertyModel, lo: float, hi: float):
-    """Exact product integral for the symbolic combinations that admit one.
 
-    Returns None when no closed form is known and quadrature should be used.
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return nodes, weights
+
+
+def segment_integrals(pair: MaterialPair, f, lo: float, hi: float,
+                      n: int = N_NODES, extra=()):
+    """Kink-aware composite Gauss-Legendre on [lo, hi].
+
+    The nodes are n uniform points plus every kink of kappa and rho and every
+    extra temperature strictly inside; returns them with the 8-point GL
+    integral of f (a function of a temperature array) over each segment
+    between consecutive nodes, all in one array pass.
     """
-    if isinstance(f, WiedemannFranz) or isinstance(g, WiedemannFranz):
-        wf = f if isinstance(f, WiedemannFranz) else g
-        # product with the bound partner collapses to Lo * T exactly
-        return 0.5 * wf.Lo * (hi * hi - lo * lo)
-    if isinstance(f, Constant):
-        return f.c * g.integral(lo, hi)
-    if isinstance(g, Constant):
-        return g.c * f.integral(lo, hi)
-    if isinstance(g, Reciprocal):
-        f, g = g, f
-    if isinstance(f, Reciprocal):
-        if isinstance(g, Linear):
-            return f.c * (g.a * (hi - lo) + g.b * math.log(hi / lo))
-        if isinstance(g, Reciprocal):
-            return f.c * g.c * (1.0 / lo - 1.0 / hi)
-        if isinstance(g, LogAffine):
-            # (c/T) * c0*(1 + c1*ln(T/T_ref)) integrates in ln(T/T_ref)
-            def anti(T):
-                s = math.log(T / g.T_ref)
-                return f.c * g.c0 * (s + 0.5 * g.c1 * s * s)
-
-            return anti(hi) - anti(lo)
-    if isinstance(f, Linear) and isinstance(g, Linear):
-        a1, b1, a2, b2 = f.a, f.b, g.a, g.b
-
-        def anti(T):
-            return a1 * a2 * T ** 3 / 3.0 + 0.5 * (a1 * b2 + a2 * b1) * T * T + b1 * b2 * T
-
-        return anti(hi) - anti(lo)
-    return None
+    pts = np.array([*pair.kappa.kinks(), *pair.rho.kinks(), *np.ravel(extra)],
+                   dtype=float)
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, n),
+                                     pts[(lo < pts) & (pts < hi)]]))
+    nodes, weights = _gauss_legendre(_GL_ORDER)
+    half = 0.5 * np.diff(grid)
+    T = half[:, None] * nodes + (0.5 * (grid[:-1] + grid[1:]))[:, None]
+    return grid, half * (f(T) @ weights)
 
 
-def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float,
-                       tol: float = TOL_QUAD) -> float:
+def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float) -> float:
     """Coupling integral r = \\int_{T_lo}^{T_hi} rho(T) kappa(T) dT (>= 0).
 
-    Uses exact closed forms for symbolic family products where available,
-    adaptive quadrature with kink breakpoints otherwise.
+    The pairwise sum of segment_integrals over N_NODES uniform nodes plus the
+    kinks; the pairwise sum keeps the rounding near one ulp of r.
     """
-    if T_lo > T_hi:
-        raise DomainError(f"need T_lo <= T_hi, got [{T_lo}, {T_hi}]")
+    if not (T_lo <= T_hi and math.isfinite(T_hi - T_lo)):
+        raise DomainError(f"need finite T_lo <= T_hi, got [{T_lo}, {T_hi}]")
     if T_lo < pair.domain_low:
         raise DomainError(
             f"[{T_lo}, {T_hi}] outside the models' valid domain "
@@ -591,127 +494,4 @@ def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float,
         )
     if T_lo == T_hi:
         return 0.0
-    cf = _closed_form_product(pair.kappa, pair.rho, T_lo, T_hi)
-    if cf is not None:
-        return cf
-
-    def f(T):
-        return pair.kappa.value(T) * pair.rho.value(T)
-
-    pts = sorted({t for m in (pair.kappa, pair.rho) for t in m.kinks()
-                  if T_lo < t < T_hi})
-    scale = abs(f(0.5 * (T_lo + T_hi))) * (T_hi - T_lo)
-    val, _ = quad(f, T_lo, T_hi, epsabs=max(1e-300, 1e-13 * scale),
-                  epsrel=tol, points=pts or None, limit=200)
-    return val
-
-
-def coupling_from(pair: MaterialPair, T_base: float, T: float,
-                  tol: float = TOL_QUAD) -> float:
-    """Signed coupling integral \\int_{T_base}^{T} rho kappa dT."""
-    if T >= T_base:
-        return rho_kappa_integral(pair, T_base, T, tol)
-    return -rho_kappa_integral(pair, T, T_base, tol)
-
-
-@dataclass(frozen=True)
-class KTransform:
-    """The conductivity transform u = K(T) = T_c + \\int_{T_c}^T kappa(s) ds.
-
-    K is a strictly increasing diffeomorphism of [T_c, sup-domain) onto
-    [T_c, K_infinity); the inverse is computed by a bracketed Newton iteration
-    (derivative = kappa) with bisection fallback.
-    """
-
-    kappa: PropertyModel
-    T_c: float
-
-    def __post_init__(self):
-        if self.T_c <= 0:
-            raise DomainError(f"base temperature must be > 0, got {self.T_c}")
-        if self.kappa.domain_low > self.T_c:
-            raise DomainError(
-                f"kappa domain_low={self.kappa.domain_low} exceeds T_c={self.T_c}"
-            )
-        eval_property(self.kappa, self.T_c)  # must be positive at the base
-
-    @cached_property
-    def K_infinity(self) -> float:
-        """Supremum of K; finite only when kappa loses positivity at finite T."""
-        limit = self.kappa.positivity_limit()
-        if math.isinf(limit):
-            return math.inf
-        return self.T_c + self.kappa.integral(self.T_c, limit)
-
-    def forward(self, T: float) -> float:
-        """u = K(T).  DomainError below T_c."""
-        if T < self.T_c:
-            raise DomainError(f"K(T) needs T >= T_c={self.T_c}, got {T}")
-        limit = self.kappa.positivity_limit()
-        if T >= limit:
-            raise NonPositiveValue(
-                f"kappa is not positive at T={T} (limit {limit}); K undefined"
-            )
-        return self.T_c + self.kappa.integral(self.T_c, T)
-
-    def forward_many(self, T) -> np.ndarray:
-        """K at many temperatures; exact segment-cumulative evaluation."""
-        T = np.asarray(T, dtype=float)
-        order = np.argsort(T)
-        out = np.empty_like(T)
-        prev_T, prev_u = self.T_c, self.T_c
-        for idx in order:
-            t = float(T[idx])
-            if t < self.T_c:
-                raise DomainError(f"K(T) needs T >= T_c={self.T_c}, got {t}")
-            prev_u = prev_u + self.kappa.integral(prev_T, t)
-            prev_T = t
-            out[idx] = prev_u
-        return out
-
-    def inverse(self, u: float, tol: float = TOL_INVERSE) -> float:
-        """T = K^{-1}(u) with |K(T) - u| <= tol * max(1, |u|)."""
-        if u < self.T_c:
-            raise RangeError(f"u={u} below the transform range start {self.T_c}")
-        if u >= self.K_infinity:
-            raise RangeError(f"u={u} at or above K_infinity={self.K_infinity}")
-        if u == self.T_c:
-            return self.T_c
-        if isinstance(self.kappa, Constant):
-            return self.T_c + (u - self.T_c) / self.kappa.c
-
-        # expand a bracket [lo, hi] with K(hi) >= u
-        lo, f_lo = self.T_c, self.T_c - u  # f(T) = K(T) - u
-        step = max(1.0, (u - self.T_c) / max(self.kappa.value(self.T_c), 1e-300))
-        hi = self.T_c
-        f_hi = f_lo
-        limit = self.kappa.positivity_limit()
-        for _ in range(200):
-            hi_new = hi + step
-            if hi_new >= limit:
-                hi_new = hi + 0.5 * (limit - hi)
-            f_hi = f_hi + self.kappa.integral(hi, hi_new)
-            hi = hi_new
-            if f_hi >= 0:
-                break
-            step *= 2.0
-        else:
-            raise RangeError(f"could not bracket K^{{-1}}({u})")
-
-        target = tol * max(1.0, abs(u))
-        T = min(max(lo + (u - self.T_c) / max(self.kappa.value(lo), 1e-300), lo), hi)
-        f_T = self.forward(T) - u
-        for _ in range(200):
-            if abs(f_T) <= target:
-                return T
-            if f_T > 0:
-                hi, f_hi = T, f_T
-            else:
-                lo, f_lo = T, f_T
-            dk = self.kappa.value(T)
-            T_new = T - f_T / dk if dk > 0 else 0.5 * (lo + hi)
-            if not (lo < T_new < hi):
-                T_new = 0.5 * (lo + hi)
-            f_T = f_T + self.kappa.integral(T, T_new)
-            T = T_new
-        raise RangeError(f"K inverse did not converge for u={u}")
+    return float(np.sum(segment_integrals(pair, pair.rho_kappa, T_lo, T_hi)[1]))

@@ -8,6 +8,7 @@ moderate band (both signs of alpha0 are exercised).
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 import tegsolve as tg
 
@@ -53,6 +54,14 @@ def two_solution_problem():
     )
     spec = tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0, L=1.0, A_c=1.0)
     return tg.LoadResistanceProblem(spec=spec, R_load=8.0), th1
+
+
+def quad_K(spec, T):
+    """Reference K(T) = T_c + \\int_{T_c}^{T} kappa by adaptive quadrature."""
+    pts = [t for t in spec.pair.kappa.kinks() if spec.T_c < t < T]
+    val, _ = quad(spec.pair.kappa.value, spec.T_c, T, epsabs=1e-14, epsrel=1e-13,
+                  points=pts or None, limit=200)
+    return spec.T_c + val
 
 
 def make_model(rng, family, T_c, T_h):

@@ -27,6 +27,7 @@ from scipy.integrate import quad, solve_ivp
 
 from tegsolve.analytic import GeneratorSpec, shooting_function
 from tegsolve.errors import DegenerateError, NumericalBlowup, TegError, ZeroVoltage
+from tegsolve.materials import rho_kappa_integral
 
 TOL_ODE = 1e-10     # rtol for the adaptive integrator
 TOL_EVENT = 1e-12   # |u(y_c) - u_c| target, scaled by max(1, |u_c|)
@@ -97,7 +98,7 @@ def _reachable_peak_T(spec: GeneratorSpec, theta: float) -> float:
     for _ in range(200):
         T_try = spec.T_h + step
         try:
-            w = spec.coupling_from_hot(T_try)
+            w = rho_kappa_integral(spec.pair, spec.T_h, T_try)
         except TegError as exc:
             raise NumericalBlowup(
                 f"coupling integral not evaluable up to T={T_try}: {exc}"

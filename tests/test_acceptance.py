@@ -15,7 +15,8 @@ import tegsolve as tg
 from tegsolve.ivp import TOL_ENERGY
 
 import oracles
-from helpers import random_spec, three_solution_problem, two_solution_problem, unit_spec
+from helpers import (quad_K, random_spec, three_solution_problem, two_solution_problem,
+                     unit_spec)
 from oracles import TOL_EVENT
 
 
@@ -167,11 +168,11 @@ def test_09_property_suite_on_randomized_specs():
             spec = random_spec(rng, idx)
             gamma = rng.uniform(0.0, 5.0)
 
-            # K roundtrip on the operating range
-            for T in rng.uniform(spec.T_c, 1.5 * spec.T_h, size=20):
-                u = spec.K.forward(float(T))
-                T2 = spec.K.inverse(u)
-                assert abs(spec.K.forward(T2) - u) <= 1e-12 * max(1.0, abs(u))
+            # K on the operating range against quadrature of kappa
+            Ts = rng.uniform(spec.T_c, 1.5 * spec.T_h, size=20)
+            for T, u in zip(Ts, spec.K(Ts)):
+                ref = quad_K(spec, float(T))
+                assert abs(u - ref) <= 1e-12 * max(1.0, abs(ref))
 
             sol = tg.solve_ratio_mode(spec, gamma)
 
@@ -184,7 +185,7 @@ def test_09_property_suite_on_randomized_specs():
             assert np.min(sol.T) >= spec.T_c - 1e-8
 
             # K(T(x)) concave along the grid
-            K = spec.K.forward_many(np.maximum(sol.T, spec.T_c))
+            K = spec.K(np.maximum(sol.T, spec.T_c))
             second = K[:-2] - 2.0 * K[1:-1] + K[2:]
             assert np.all(second <= 1e-10 * max(1.0, float(np.max(np.abs(K)))))
 
@@ -192,7 +193,8 @@ def test_09_property_suite_on_randomized_specs():
             scale = max(1.0, sol.theta ** 2 + 2.0 * spec.rk)
             w = (spec.alpha0 * sol.T * sol.J - sol.q) / abs(sol.J)
             for w_i, T_i in zip(w, sol.T):
-                W = spec.coupling_from_hot(max(float(T_i), spec.T_c))
+                W = tg.rho_kappa_integral(spec.pair, spec.T_c,
+                                           max(float(T_i), spec.T_c)) - spec.rk
                 assert abs(w_i ** 2 - (sol.theta ** 2 - 2.0 * W)) \
                     <= TOL_ENERGY * scale
 
@@ -200,7 +202,8 @@ def test_09_property_suite_on_randomized_specs():
             # integrates tighter than its 1e-10 default for identity-class checks
             tr = oracles.integrate_ivp(spec, sol.theta, tol_ode=1e-12)
             for w_i, T_i in zip(tr.u_y, tr.T):
-                W = spec.coupling_from_hot(max(float(T_i), spec.T_c))
+                W = tg.rho_kappa_integral(spec.pair, spec.T_c,
+                                           max(float(T_i), spec.T_c)) - spec.rk
                 assert abs(w_i ** 2 - (tr.theta ** 2 - 2.0 * W)) \
                     <= TOL_ENERGY * scale
 

@@ -201,6 +201,37 @@ def test_tol_ode_rejected(tmp_path, capsys):
         cli.main(["solve", "--config", str(cfg), "--tol-ode", "1e-9"])
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"bogus": 1}, "bogus"),
+    ({"mode": {"type": "ratio", "gama": 1.0}}, "gama"),
+    ({"mode": {"type": "sweep", "gamma_min": 0.0, "gamma_max": 2.0, "n": 5,
+               "gamma": 1.0}}, "gamma"),
+    ({"tolerances": {"n_outt": 0}}, "n_outt"),
+    ({"tolerances": {"tol_od": 1e-3}}, "tol_od"),
+], ids=["top_level", "mode_typo", "other_mode_field", "tolerance_typo",
+        "tol_od"])
+def test_unknown_config_key_exit_code_and_record(tmp_path, capsys, overrides, key):
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert repr(key) in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_where_kappa_turns_negative_above_T_h(tmp_path):
+    # kappa = 3 - T is positive on [1, 2.5] and negative above 3 K: the report
+    # integrates r over [T_c, T_h] only; r = 1.875, so alpha0 = 0.5 gives z = 0.2
+    material = tmp_path / "mat.json"
+    material.write_text(json.dumps({"kappa": {"family": "linear", "a": -1.0, "b": 3.0},
+                                    "rho": {"family": "constant", "c": 1.0},
+                                    "alpha0": 0.5}))
+    cfg = _write_config(tmp_path, material_file=str(material), T_h=2.5)
+    assert cli.main(["report", "--config", str(cfg)]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["z"] == pytest.approx(0.2, rel=1e-14)
+
+
 @pytest.mark.parametrize("tolerances", [
     {"n_out": 0}, {"n_out": -4}, {"scan_samples": 1},
 ], ids=["n_out_zero", "n_out_negative", "scan_samples_one"])

@@ -1,14 +1,18 @@
 """Array hitting-time kernel against the per-panel scalar loop it replaced,
-and the Gauss-Legendre W grid against the per-segment coupling integrals."""
+and the Gauss-Legendre W grid against per-segment adaptive quadrature."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.integrate import quad_vec
 
 import tegsolve as tg
-from tegsolve import loadmode, materials
+from tegsolve import loadmode
 
 import oracles
 from helpers import make_model, random_spec, three_solution_problem, two_solution_problem
@@ -128,11 +132,13 @@ def test_y_c_peak_allocation_is_bounded():
 
 
 def reference_W(q):
-    """W on q's nodes by the per-segment build: one coupling_from call per
-    segment, summed from T_c and anchored at W(T_h) = 0."""
+    """W on q's nodes by adaptive Gauss-Kronrod quadrature of every segment
+    (kinks sit on nodes; scipy's quad_vec, all segments mapped onto [-1, 1]
+    in one vector-valued call), summed from T_c and anchored at W(T_h) = 0."""
     grid, pair = q._grid_T, q.spec.pair
-    seg = [materials.coupling_from(pair, float(a), float(b))
-           for a, b in zip(grid[:-1], grid[1:])]
+    half, mid = 0.5 * np.diff(grid), 0.5 * (grid[:-1] + grid[1:])
+    seg, _ = quad_vec(lambda s: half * pair.rho_kappa(mid + half * s), -1.0, 1.0,
+                      epsabs=0.0, epsrel=1e-14, norm="max")
     W = np.concatenate([[0.0], np.cumsum(seg)])
     return W - W[int(np.searchsorted(grid, q.spec.T_h))]
 
@@ -150,15 +156,11 @@ def test_w_grid_matches_coupling_integrals_on_all_family_pairs():
     for idx in range(49):
         spec = random_spec(rng, idx)
         pair = spec.pair
-        closed = materials._closed_form_product(
-            pair.kappa, pair.rho, spec.T_c, spec.T_h) is not None
         q = tg.HittingTimeQuadrature(spec, n_base=257)
         W = q._grid_W
-        # 8-point GL is exact to rounding on every segment; closed forms lose
-        # digits to cancellation in their antiderivative differences
-        tol = 1e-13 if closed else 1e-15
+        # 8-point GL is exact to rounding on every segment
         err = np.max(np.abs(W - reference_W(q))) / np.max(np.abs(W))
-        assert err <= tol, (idx, pair.kappa.family, pair.rho.family, err)
+        assert err <= 1e-15, (idx, pair.kappa.family, pair.rho.family, err)
         s = math.sqrt(2.0 * spec.rk)
         if pair.kappa.family == pair.rho.family == "reciprocal":
             # rho*kappa ~ 1/T^2: its integral converges short of 8 r
@@ -185,15 +187,31 @@ def test_w_grid_build_makes_no_quad_call(kap_fam, rho_fam, monkeypatch):
     pair = tg.MaterialPair(kappa=make_model(rng, kap_fam, T_c, T_h),
                            rho=make_model(rng, rho_fam, T_c, T_h), alpha0=1e-3)
     spec = tg.GeneratorSpec(pair=pair, T_h=T_h, T_c=T_c)
-    assert materials._closed_form_product(pair.kappa, pair.rho, T_c, T_h) is None
-    spec.rk  # the one coupling integral over [T_c, T_h] may use quad
 
     def no_quad(*args, **kwargs):
         raise AssertionError("scipy.quad called while building the W grid")
 
-    monkeypatch.setattr(materials, "quad", no_quad)
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    assert spec.rk > 0 and spec.u_h > T_c  # r and K take the same GL pass
     q = tg.HittingTimeQuadrature(spec)
     assert q._grid_T.size >= q.n_base
+
+
+def test_package_does_not_import_scipy_integrate():
+    # every property integral goes through materials.segment_integrals
+    src = Path(tg.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+    assert found == []
 
 
 def test_y_c_does_not_depend_on_earlier_theta():

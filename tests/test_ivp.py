@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import tegsolve as tg
 from tegsolve.errors import NonPositiveHotFlux, ScanIncomplete
 from tegsolve.ivp import TOL_ENERGY, TOL_ETA
 
 import oracles
-from helpers import random_spec, unit_spec
+from helpers import (KAPPA_FAMILIES, make_model, quad_K, random_spec,
+                     three_solution_problem, unit_spec)
 from oracles import TOL_EVENT
 
 
@@ -59,12 +62,11 @@ def _check_trajectory_invariants(spec, tr):
     assert np.all(np.diff(tr.u_y) <= 1e-10 * max(1.0, np.max(np.abs(tr.u_y))))
     # u - u_c crosses zero exactly once: positive until the terminal hit
     assert np.all(tr.u[:-1] > spec.u_c - TOL_EVENT * u_scale)
-    assert np.all(tr.u < spec.K.K_infinity)
     # energy identity at every sample
     r = spec.rk
     scale = max(1.0, tr.theta ** 2 + 2.0 * r)
     for u_i, w_i, T_i in zip(tr.u, tr.u_y, tr.T):
-        W = spec.coupling_from_hot(max(float(T_i), spec.T_c))
+        W = tg.rho_kappa_integral(spec.pair, spec.T_c, max(float(T_i), spec.T_c)) - r
         assert abs(w_i ** 2 - (tr.theta ** 2 - 2.0 * W)) <= TOL_ENERGY * scale
 
 
@@ -156,7 +158,8 @@ def test_materialize_where_rk45_event_polish_fails():
     assert sol.T[0] == spec.T_h
     assert abs(sol.T[-1] - spec.T_c) <= 1e-12 * spec.T_c  # 8.8e-13 K measured
     w = (spec.alpha0 * sol.T * sol.J - sol.q) / abs(sol.J)
-    W = np.array([spec.coupling_from_hot(float(T)) for T in sol.T])
+    W = np.array([tg.rho_kappa_integral(spec.pair, spec.T_c, float(T))
+                  for T in sol.T]) - spec.rk
     scale = max(1.0, theta ** 2 + 2.0 * spec.rk)
     assert np.max(np.abs(w ** 2 - (theta ** 2 - 2.0 * W))) <= TOL_ENERGY * scale
 
@@ -213,6 +216,52 @@ def test_solve_zero_voltage_branches():
     exact_T = np.sqrt(2.0 * (u - 1.0) + 1.0)  # K(T) = 1 + (T^2-1)/2 inverted
     assert np.max(np.abs(sol.T - exact_T)) < 1e-9
 
+
+@pytest.mark.parametrize("kap_fam", KAPPA_FAMILIES)
+def test_zero_voltage_profile_on_every_kappa_family(kap_fam):
+    # alpha0 = 0: T = K^{-1}(u) with u affine in x, against K by quad and
+    # its inverse by brentq; R_int by quad of rho along that reference
+    rng = np.random.default_rng(KAPPA_FAMILIES.index(kap_fam) + 5)
+    T_c = rng.uniform(0.5, 400.0)
+    T_h = T_c * rng.uniform(1.05, 3.0)
+    pair = tg.MaterialPair(kappa=make_model(rng, kap_fam, T_c, T_h),
+                           rho=make_model(rng, "log_affine", T_c, T_h), alpha0=0.0)
+    spec = tg.GeneratorSpec(pair=pair, T_h=T_h, T_c=T_c,
+                            L=rng.uniform(0.5, 2.0), A_c=rng.uniform(0.5, 2.0))
+    gamma = rng.uniform(0.0, 3.0)
+    sol = tg.solve_ratio_mode(spec, gamma, n_out=16)
+    u_h = quad_K(spec, T_h)
+
+    def T_ref(x):
+        u = u_h + (T_c - u_h) * (x / spec.L)
+        if not T_c < u < u_h:
+            return T_h if u >= u_h else T_c
+        return brentq(lambda T: quad_K(spec, T) - u, T_c, T_h,
+                      xtol=1e-14 * T_h, rtol=1e-15)
+
+    assert sol.J == 0.0 and sol.eta_numeric == 0.0
+    assert sol.T[0] == pytest.approx(T_h, rel=1e-15)
+    assert sol.T[-1] == T_c
+    T = np.array([T_ref(x) for x in sol.x])
+    assert np.max(np.abs(sol.T - T)) <= 1e-11 * T_h
+    # x where T_ref crosses a kink, so that quad sees a smooth integrand
+    x_k = [spec.L * (u_h - quad_K(spec, t)) / (u_h - T_c)
+           for m in (pair.kappa, pair.rho) for t in m.kinks() if T_c < t < T_h]
+    R, _ = quad(lambda x: pair.rho.value(T_ref(x)), 0.0, spec.L,
+                epsabs=0.0, epsrel=1e-13, points=x_k or None, limit=200)
+    assert sol.R_total / (1.0 + gamma) == pytest.approx(R / spec.A_c, rel=1e-12)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: tg.solve_ratio_mode(unit_spec(), 1.0, n_out=0),
+    lambda: tg.solve_ratio_mode(unit_spec(alpha0=0.0), 1.0, n_out=0),
+    lambda: tg.solve_ratio_mode(unit_spec(T_h=1.0), 1.0, n_out=-3),
+    lambda: tg.HittingTimeQuadrature(unit_spec()).materialize(0.5, R_load=1.0, n_out=0),
+    lambda: tg.enumerate_solutions(three_solution_problem(), n_out=0),
+], ids=["ratio_mode", "zero_voltage", "zero_gap", "materialize", "enumerate"])
+def test_n_out_below_one_raises_domain_error(solve):
+    with pytest.raises(tg.DomainError, match="n_out"):
+        solve()
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])

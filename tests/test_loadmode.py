@@ -89,7 +89,7 @@ def test_three_solution_roots_satisfy_full_system():
         # h^2 K'''' / 12 truncation model (~5e-4 here)
         rep = tg.verify_solution(sol, prob.spec)
         assert rep.ode_residual <= 6e-2
-        K = np.array([1.0 + prob.spec.pair.kappa.integral(1.0, t) for t in sol.T])
+        K = prob.spec.K(sol.T)
         h = sol.x[1] - sol.x[0]
         second = (K[:-2] - 2.0 * K[1:-1] + K[2:]) / (h * h)
         rho = np.asarray(prob.spec.pair.rho.value(np.maximum(sol.T, 1.0)))

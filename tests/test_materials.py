@@ -11,10 +11,9 @@ from tegsolve.errors import (
     DomainError,
     InvalidMaterial,
     NonPositiveValue,
-    RangeError,
 )
 
-from helpers import make_model, random_spec
+from helpers import make_model, quad_K, random_spec
 
 
 # ---------------------------------------------------------------------------
@@ -113,87 +112,71 @@ def test_wiedemann_franz_binding():
 # the conductivity transform K
 # ---------------------------------------------------------------------------
 
+def _k_spec(kappa, T_h, T_c=1.0, rho=None):
+    """A zero-voltage leg: its ratio-mode profile is T = K^{-1}(u), u affine."""
+    pair = tg.MaterialPair(kappa=kappa, rho=rho or tg.constant(1.0), alpha0=0.0)
+    return tg.GeneratorSpec(pair=pair, T_h=T_h, T_c=T_c)
+
+
 def test_k_forward_worked_values():
-    kt = tg.KTransform(kappa=tg.constant(1.0), T_c=1.0)
-    assert kt.forward(2.0) == pytest.approx(2.0, abs=1e-14)
-    kt = tg.KTransform(kappa=tg.linear(1.0, 0.0), T_c=1.0)  # kappa(T) = T
-    assert kt.forward(2.0) == pytest.approx(2.5, abs=1e-14)
-    kt = tg.KTransform(kappa=tg.reciprocal(1.0), T_c=1.0)  # kappa(T) = 1/T
-    assert kt.forward(math.e) == pytest.approx(2.0, abs=1e-13)
+    assert _k_spec(tg.constant(1.0), 2.0).K(2.0) == pytest.approx(2.0, abs=1e-14)
+    # kappa(T) = T
+    assert _k_spec(tg.linear(1.0, 0.0), 2.0).K(2.0) == pytest.approx(2.5, abs=1e-14)
+    # kappa(T) = 1/T
+    assert _k_spec(tg.reciprocal(1.0), 3.0).K(math.e) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_k_forward_below_base_raises():
-    kt = tg.KTransform(kappa=tg.constant(1.0), T_c=1.0)
+    spec = _k_spec(tg.constant(1.0), 2.0)
     with pytest.raises(DomainError):
-        kt.forward(0.5)
+        spec.K(0.5)
+    with pytest.raises(DomainError):
+        spec.K(np.array([1.5, 0.5]))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            spec.K(bad)
 
 
 def test_k_forward_strictly_increasing():
     rng = np.random.default_rng(7)
     for fam in ("constant", "linear", "reciprocal", "table", "clamped_linear"):
-        m = make_model(rng, fam, 1.0, 3.0)
-        kt = tg.KTransform(kappa=m, T_c=1.0)
+        spec = _k_spec(make_model(rng, fam, 1.0, 3.0), 3.0)
         Ts = np.sort(rng.uniform(1.0, 6.0, size=30))
-        Ks = kt.forward_many(Ts)
+        Ks = spec.K(Ts)
         assert np.all(np.diff(Ks) > 0)
 
 
 def test_k_inverse_worked_values():
-    kt = tg.KTransform(kappa=tg.constant(1.0), T_c=1.0)
-    assert kt.inverse(2.0) == pytest.approx(2.0, abs=1e-12)
-    kt = tg.KTransform(kappa=tg.linear(1.0, 0.0), T_c=1.0)
-    assert kt.inverse(2.5) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_k_inverse_out_of_range():
-    kt = tg.KTransform(kappa=tg.constant(1.0), T_c=1.0)
-    with pytest.raises(RangeError):
-        kt.inverse(0.5)
+    # K(T) = T: u = 3, 2.5, ..., 1 on five points
+    sol = tg.solve_ratio_mode(_k_spec(tg.constant(1.0), 3.0), 0.0, n_out=4)
+    assert sol.T[2] == pytest.approx(2.0, abs=1e-12)
+    # K(T) = (T^2 + 1) / 2: u = 5, 4.5, ..., 1, and K^{-1}(2.5) = 2
+    sol = tg.solve_ratio_mode(_k_spec(tg.linear(1.0, 0.0), 3.0), 0.0, n_out=8)
+    assert sol.T[5] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_k_infinity_finite_for_decaying_kappa():
-    # kappa = 1 - 0.5*T loses positivity at T = 2: K_infinity = K(2) finite
-    kt = tg.KTransform(kappa=tg.linear(-0.5, 1.0), T_c=1.0)
-    assert kt.K_infinity == pytest.approx(1.0 + (1.0 * 1.0 - 0.25 * (4 - 1)), abs=1e-12)
-    with pytest.raises(RangeError):
-        kt.inverse(kt.K_infinity)
-    # K(T) < K_infinity for every finite valid T
-    for T in (1.0, 1.5, 1.9, 1.99):
-        assert kt.forward(T) < kt.K_infinity
+    # kappa = 1 - 0.5 T loses positivity at T = 2, so K stays below
+    # K(2) = 1 + 1 - 0.25 (4 - 1) = 1.75 for every valid T
+    spec = _k_spec(tg.linear(-0.5, 1.0), 1.99)
+    Ts = np.array([1.0, 1.5, 1.9, 1.99])
+    exact = 1.0 + (Ts - 1.0) - 0.25 * (Ts ** 2 - 1.0)
+    assert np.all(np.abs(spec.K(Ts) - exact) <= 1e-14)
+    assert np.all(spec.K(Ts) < 1.75)
 
 
-def test_k_infinity_infinite_families():
-    for m in (tg.constant(2.0), tg.linear(1.0, 0.5),
-              tg.clamped_linear(1.0, 2.0, 1.0),
-              tg.table([(1.0, 1.0), (2.0, 2.0)])):
-        assert math.isinf(tg.KTransform(kappa=m, T_c=1.0).K_infinity)
-
-
-def test_wiedemann_franz_transform_roundtrip():
-    # quadrature-backed K (no closed antiderivative for the bound quotient)
+def test_wiedemann_franz_transform_matches_quadrature():
+    # kappa = 2 T / rho(T): K has no closed antiderivative
     pair = tg.MaterialPair(
         kappa=tg.wiedemann_franz(2.0),
         rho=tg.table([(1.0, 1.5), (2.0, 2.5), (3.0, 2.0)]),
-        alpha0=1.0,
+        alpha0=0.0,
     )
-    kt = tg.KTransform(kappa=pair.kappa, T_c=1.0)
-    assert math.isinf(kt.K_infinity)
-    for T in (1.0, 1.3, 2.0, 2.7, 4.0):
-        u = kt.forward(T)
-        assert abs(kt.forward(kt.inverse(u)) - u) <= 1e-12 * max(1.0, abs(u))
-
-
-def test_k_roundtrip_random():
-    rng = np.random.default_rng(11)
-    for fam in ("constant", "linear", "reciprocal", "log_affine",
-                "clamped_linear", "table"):
-        m = make_model(rng, fam, 1.0, 3.0)
-        kt = tg.KTransform(kappa=m, T_c=1.0)
-        for T in rng.uniform(1.0, 6.0, size=100):
-            u = kt.forward(T)
-            T2 = kt.inverse(u)
-            assert abs(kt.forward(T2) - u) <= 1e-12 * max(1.0, abs(u))
-            assert T2 == pytest.approx(T, rel=1e-9, abs=1e-9)
+    spec = tg.GeneratorSpec(pair=pair, T_h=4.0, T_c=1.0)
+    Ts = np.array([1.0, 1.3, 2.0, 2.7, 4.0])
+    for T, u in zip(Ts, spec.K(Ts)):
+        ref = quad_K(spec, float(T))
+        assert abs(u - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +258,7 @@ def test_rk_integral_closed_forms_match_quadrature():
         assert got == pytest.approx(ref, rel=1e-10)
 
 
-def test_family_antiderivatives_match_quadrature():
+def test_family_integrals_match_quadrature():
     rng = np.random.default_rng(47)
     models = [
         tg.constant(1.7),
@@ -291,13 +274,24 @@ def test_family_antiderivatives_match_quadrature():
         pts = [t for t in m.kinks() if lo < t < hi]
         ref, _ = quad(m.value, lo, hi, epsabs=1e-14, epsrel=1e-12,
                       points=pts or None, limit=200)
-        assert m.integral(lo, hi) == pytest.approx(ref, rel=1e-10)
+        spec = _k_spec(m, hi, T_c=lo)
+        assert spec.u_h - lo == pytest.approx(ref, rel=1e-10)
+        # rho = 1 makes the coupling integral the integral of kappa
+        assert tg.rho_kappa_integral(spec.pair, lo, hi) == pytest.approx(ref, rel=1e-10)
 
 
 def test_rk_integral_reversed_bounds_raise():
     pair = tg.MaterialPair(tg.constant(1.0), tg.constant(1.0), 1.0)
     with pytest.raises(DomainError):
         tg.rho_kappa_integral(pair, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, math.inf), (1.0, math.nan),
+                                   (math.nan, 2.0), (math.inf, math.inf)])
+def test_rk_integral_non_finite_bounds_raise(lo, hi):
+    pair = tg.MaterialPair(tg.constant(1.0), tg.constant(1.0), 1.0)
+    with pytest.raises(DomainError):
+        tg.rho_kappa_integral(pair, lo, hi)
 
 
 # ---------------------------------------------------------------------------
