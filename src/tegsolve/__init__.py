@@ -14,7 +14,6 @@ from .errors import (
     NonPositiveHotFlux,
     NonPositiveValue,
     NumericalBlowup,
-    RangeError,
     ScanIncomplete,
     TegError,
     ZeroSeebeck,

@@ -19,7 +19,7 @@ transform K come from the Gauss-Legendre pass of materials.segment_integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -210,18 +210,7 @@ class PerformanceReport:
     V: float
 
     def to_json(self) -> dict:
-        return {
-            "z": self.z,
-            "gamma": self.gamma,
-            "eta_of_gamma": self.eta_of_gamma,
-            "eta_max": self.eta_max,
-            "gamma_opt": self.gamma_opt,
-            "hot_flux_rel": self.hot_flux_rel,
-            "decreasing": self.decreasing,
-            "sherman_lhs": self.sherman_lhs,
-            "sherman_rhs": self.sherman_rhs,
-            "V": self.V,
-        }
+        return asdict(self)
 
 
 def performance_report(spec: GeneratorSpec, gamma: float | None = None) -> PerformanceReport:

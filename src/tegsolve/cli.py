@@ -7,7 +7,8 @@ failure class:
     0  success
     2  config parse/validation error (also argparse usage errors)
     3  material error (file missing/unparsable, invalid or out-of-domain model)
-    4  solver error (bad solver inputs, numerical failure, incomplete scan)
+    4  solver error (bad solver inputs, numerical failure, incomplete scan),
+       and any exception that no typed handler expects
     5  output I/O error
 
 On failure a one-line machine-readable JSON error record is printed to
@@ -20,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,6 @@ from .errors import (
     DomainError,
     InvalidMaterial,
     NonPositiveValue,
-    RangeError,
     TegError,
 )
 
@@ -53,26 +54,18 @@ def _build_spec(cfg: io.RunConfig) -> GeneratorSpec:
     return GeneratorSpec(pair=pair, T_h=cfg.T_h, T_c=cfg.T_c, L=cfg.L, A_c=cfg.A_c)
 
 
-def _tol(cfg: io.RunConfig, key: str, default):
-    return type(default)(cfg.tolerances.get(key, default))
+def _given(cfg: io.RunConfig, *keys: str) -> dict:
+    """The tolerances among keys that the config sets; the routine they go
+    to keeps its own default for the others."""
+    return {k: cfg.tolerances[k] for k in keys if k in cfg.tolerances}
 
 
 def _solution_meta(sol: ivp.TemperatureSolution, spec: GeneratorSpec) -> dict:
-    meta = {
-        "theta": sol.theta,
-        "y_c": sol.y_c,
-        "J": sol.J,
-        "R_total": sol.R_total,
-        "q_h": sol.q_h,
-        "q_c": sol.q_c,
-        "eta": sol.eta_numeric,
-        "V": spec.V,
-    }
-    if sol.gamma is not None:
-        meta["gamma"] = sol.gamma
-    if sol.R_load is not None:
-        meta["R_load"] = sol.R_load
-    return meta
+    """Every scalar field of sol that is set, eta_numeric as "eta", and V."""
+    meta = {f.name: getattr(sol, f.name) for f in fields(sol)
+            if f.name not in ("x", "T", "q") and getattr(sol, f.name) is not None}
+    meta["eta"] = meta.pop("eta_numeric")
+    return dict(meta, V=spec.V)
 
 
 def _write_solution(outdir: Path, stem: str, sol: ivp.TemperatureSolution,
@@ -85,21 +78,15 @@ def _write_solution(outdir: Path, stem: str, sol: ivp.TemperatureSolution,
 def _enumerate(cfg: io.RunConfig, spec: GeneratorSpec) -> loadmode.SolutionSet:
     prob = loadmode.LoadResistanceProblem(spec=spec, R_load=cfg.mode["R_load"])
     return loadmode.enumerate_solutions(
-        prob,
-        scan_samples=_tol(cfg, "scan_samples", loadmode.SCAN_SAMPLES),
-        tol_root=_tol(cfg, "tol_root", loadmode.TOL_ROOT),
-        n_out=_tol(cfg, "n_out", ivp.N_OUT),
-    )
+        prob, **_given(cfg, "scan_samples", "tol_root", "n_out"))
 
 
 def _write_multiplicity(outdir: Path, result: loadmode.SolutionSet,
                         spec: GeneratorSpec, with_curve: bool) -> None:
-    io.write_csv(
-        outdir / "multiplicity.csv",
-        ["theta", "y_c", "R_total", "gamma_equiv", "eta", "tangency"],
-        [(r.theta, r.y_c, r.R_total, r.gamma_equiv, r.eta, int(r.tangency))
-         for r in result.roots],
-    )
+    cols = [f.name for f in fields(loadmode.RootRecord)
+            if f.name not in ("H_residual", "solution")]
+    io.write_csv(outdir / "multiplicity.csv", cols,
+                 [[getattr(r, c) for c in cols] for r in result.roots])
     for i, root in enumerate(result.roots):
         _write_solution(outdir, f"solution_{i:03d}", root.solution, spec)
     if with_curve:
@@ -113,8 +100,7 @@ def cmd_solve(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     mtype = cfg.mode["type"]
     if mtype == "ratio":
-        sol = ivp.solve_ratio_mode(spec, cfg.mode["gamma"],
-                                   n_out=_tol(cfg, "n_out", ivp.N_OUT))
+        sol = ivp.solve_ratio_mode(spec, cfg.mode["gamma"], **_given(cfg, "n_out"))
         _write_solution(outdir, "solution", sol, spec)
     elif mtype == "resistance":
         result = _enumerate(cfg, spec)
@@ -130,7 +116,7 @@ def cmd_report(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     report = analytic.performance_report(spec, gamma)
     io.write_json(outdir / "report.json", report.to_json())
     g_max = cfg.tolerances.get("sweep_gamma_max", 3.0 * report.gamma_opt)
-    n = int(cfg.tolerances.get("sweep_n", 257))
+    n = cfg.tolerances.get("sweep_n", 257)
     gammas = np.linspace(0.0, g_max, n)
     io.write_csv(outdir / "eta_sweep.csv", ["gamma", "eta"],
                  ((g, analytic.efficiency(spec, g)) for g in gammas))
@@ -141,7 +127,7 @@ def cmd_sweep(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
         raise ConfigError("sweep expects a sweep mode config")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_out = _tol(cfg, "n_out", ivp.N_OUT)
+    opts = _given(cfg, "n_out")
     gammas = np.linspace(cfg.mode["gamma_min"], cfg.mode["gamma_max"],
                          int(cfg.mode["n"]))
     # one quadrature build serves every gamma of the sweep
@@ -149,10 +135,10 @@ def cmd_sweep(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     rows = []
     for g in gammas:
         if quadrature is None:
-            sol = ivp.solve_ratio_mode(spec, float(g), n_out=n_out)
+            sol = ivp.solve_ratio_mode(spec, float(g), **opts)
         else:
             sol = quadrature.materialize(analytic.matched_initial_slope(spec, float(g)),
-                                         gamma=float(g), n_out=n_out)
+                                         gamma=float(g), **opts)
         eta_cf = analytic.efficiency(spec, float(g)) if spec.V != 0 else 0.0
         rows.append((g, eta_cf, sol.eta_numeric, sol.theta, sol.y_c, sol.J,
                      sol.R_total, sol.q_h, sol.q_c))
@@ -210,22 +196,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code (see the module docstring).
+
+    Every failure prints the one-line JSON error record.  An exception that
+    no typed handler expects exits 4, like a solver error, with the same
+    record, so no input ends in a traceback.
+    """
     args = build_parser().parse_args(argv)
     try:
-        cfg = io.load_config(args.config)
+        return _run(args)
+    except Exception as exc:  # the catch-all documented above
+        return _error_record(exc, EXIT_SOLVER)
+
+
+def _run(args: argparse.Namespace) -> int:
+    try:
+        # command-line overrides go through the same validation as the file
+        data = io.load_config(args.config).to_json()
+        if args.out is not None:
+            data["output_dir"] = args.out
+        if args.scan_samples is not None:
+            data["tolerances"]["scan_samples"] = args.scan_samples
+        cfg = io.config_from_dict(data)
     except ConfigError as exc:
         return _error_record(exc, EXIT_CONFIG)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.scan_samples is not None:
-        cfg.tolerances["scan_samples"] = args.scan_samples
     if args.dump_config:
         print(json.dumps(cfg.to_json(), indent=2, sort_keys=True))
         return EXIT_OK
 
     try:
         spec = _build_spec(cfg)
-    except (InvalidMaterial, DomainError, NonPositiveValue, RangeError) as exc:
+    except (InvalidMaterial, DomainError, NonPositiveValue) as exc:
         return _error_record(exc, EXIT_MATERIAL)
 
     t0 = time.perf_counter()

@@ -17,12 +17,6 @@ class NonPositiveValue(TegError):
     """A material property evaluated to a value <= 0."""
 
 
-class RangeError(TegError):
-    """A value outside the range a transform covers.  No package route raises
-    it now that K is evaluated only forward and inverted by a spline on
-    [u_c, u_h]; the name stays for callers that catch it."""
-
-
 class InvalidMaterial(TegError):
     """Material model rejected at construction (bad parameters, bad knots, ...)."""
 

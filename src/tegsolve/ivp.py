@@ -161,6 +161,33 @@ def verify_solution(sol: TemperatureSolution, spec: GeneratorSpec) -> ResidualRe
     )
 
 
+def _subdivide(pts: np.ndarray, n_span: int):
+    """Cut each panel between consecutive split points of every row of pts
+    (sorted along axis 1) into ceil(n_span * width / span) equal
+    sub-intervals, span being the row's whole range; zero-width panels get
+    none.  Returns the owning row and the ends a, b of every sub-interval,
+    placed exactly as np.linspace places them, in one array pass."""
+    width = np.diff(pts, axis=1)
+    span = pts[:, -1:] - pts[:, :1] + 4e-300  # no 0/0 on a collapsed row
+    n_sub = np.where(width > 0, np.ceil(n_span * width / span),
+                     0).astype(np.intp).ravel()
+    owner = np.repeat(np.arange(pts.shape[0]).repeat(width.shape[1]), n_sub)
+    k = np.repeat(n_sub, n_sub)
+    j = np.arange(k.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    a0 = np.repeat(pts[:, :-1].ravel(), n_sub)
+    step = np.repeat(width.ravel(), n_sub) / k
+    b = np.where(j + 1 == k, np.repeat(pts[:, 1:].ravel(), n_sub),
+                 (j + 1) * step + a0)
+    return owner, j * step + a0, b
+
+
+def _stall_error(T: float) -> NumericalBlowup:
+    return NumericalBlowup(
+        f"coupling integral stops growing at T={T:.6g}; "
+        "the divergence assumption on rho*kappa appears violated"
+    )
+
+
 class HittingTimeQuadrature:
     """Hitting time y_c(theta) and steady states from the phase-space energy
     identity.
@@ -178,8 +205,10 @@ class HittingTimeQuadrature:
     8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
     every spline interval O(h^4).  A theta beyond the grid appends blocks of
-    n_base nodes above it, so earlier nodes never move.  materialize turns the
-    same integrand into a full profile.
+    n_base nodes above it, so earlier nodes never move.  Where W stops growing
+    above T_h the grid ends, and only a theta that needs W beyond that end
+    raises NumericalBlowup.  materialize turns the same integrand into a full
+    profile.
     """
 
     def __init__(self, spec: GeneratorSpec, *, gl_order: int = 80,
@@ -195,27 +224,31 @@ class HittingTimeQuadrature:
 
     def _build(self):
         spec = self.spec
-        grid, W = self._w_block(spec.T_c, self._T_top, 0.0)
+        grid, W, self._stall = self._w_block(spec.T_c, self._T_top, 0.0)
         W -= W[int(np.searchsorted(grid, spec.T_h))]  # anchor W(T_h) = 0
         self._grid_T = grid
         self._grid_W = W
         self._fit()
 
     def _w_block(self, lo: float, hi: float, W_lo: float):
-        """Nodes on [lo, hi] (n_base uniform plus the kinks and T_h inside)
-        and W on them, counted from W(lo) = W_lo: the cumulative sum of
-        segment_integrals of rho * kappa."""
+        """Nodes on [lo, hi] (n_base uniform plus the kinks and T_h inside),
+        W on them counted from W(lo) = W_lo (the cumulative sum of
+        segment_integrals of rho * kappa), and the temperature where W stops
+        growing, or None.  A block with a stall ends before it, at the last
+        node where rho * kappa > 0; NumericalBlowup if that cuts off T_h."""
         pair = self.spec.pair
         grid, seg = segment_integrals(pair, pair.rho_kappa, lo, hi, self.n_base,
                                       extra=(self.spec.T_h,))
         W = W_lo + np.concatenate([[0.0], np.cumsum(seg)])
         stall = np.flatnonzero(~(np.diff(W) > 0))
-        if stall.size:
-            raise NumericalBlowup(
-                f"coupling integral stops growing at T={grid[stall[0]]:.6g}; "
-                "the divergence assumption on rho*kappa appears violated"
-            )
-        return grid, W
+        if not stall.size:
+            return grid, W, None
+        T_stall = float(grid[stall[0]])
+        bad = np.flatnonzero(~(pair.rho_kappa(grid[:stall[0] + 1]) > 0))
+        end = int(bad[0]) if bad.size else stall[0] + 1
+        if end == 0 or grid[end - 1] < self.spec.T_h:
+            raise _stall_error(T_stall)
+        return grid[:end], W[:end], T_stall
 
     def _fit(self):
         """Hermite spline of W^{-1} and the W-images of the kinks."""
@@ -229,16 +262,20 @@ class HittingTimeQuadrature:
         })
 
     def _ensure(self, q_max: float):
-        """Append blocks until W reaches q_max; on failure nothing changes."""
-        T_top, grid, W = self._T_top, self._grid_T, self._grid_W
+        """Append blocks until W reaches q_max; on failure nothing changes.
+        A stall caps the grid: a q_max beyond it is a NumericalBlowup."""
+        T_top, grid, W, T_stall = self._T_top, self._grid_T, self._grid_W, self._stall
         if W[-1] >= q_max:
             return
         for _ in range(120):
+            if T_stall is not None:
+                raise _stall_error(T_stall)
             lo, T_top = T_top, self.spec.T_h + 2.0 * (T_top - self.spec.T_h)
-            g, w = self._w_block(lo, T_top, float(W[-1]))
+            g, w, T_stall = self._w_block(lo, T_top, float(W[-1]))
             grid, W = np.concatenate([grid, g[1:]]), np.concatenate([W, w[1:]])
             if W[-1] >= q_max:
                 self._T_top, self._grid_T, self._grid_W = T_top, grid, W
+                self._stall = T_stall
                 self._fit()
                 return
         raise NumericalBlowup(
@@ -267,6 +304,8 @@ class HittingTimeQuadrature:
         points are set to theta, so they become zero-width panels."""
         tt = theta * theta
         w_lo = -np.sqrt(tt + 2.0 * self.r)
+        if not np.all(np.isfinite(w_lo)):
+            raise NumericalBlowup("theta^2 + 2r is not a finite float")
         up = theta > 0
         cols = [w_lo, theta, np.where(up, 0.0, theta), np.where(up, -theta, theta)]
         for q_k in self._kink_q:
@@ -290,24 +329,9 @@ class HittingTimeQuadrature:
         return half * (inv_rho @ weights)
 
     def _y_c_chunk(self, theta: np.ndarray) -> np.ndarray:
-        """Panelwise GL integral of 1 / rho(T(w)) over [w_c, theta] per theta.
-
-        Each panel of _splits is cut into min(8, ceil(width / (span / 4)))
-        equal sub-intervals; zero-width panels get none.
-        """
-        pts = self._splits(theta)
-        lo, width, span = pts[:, :-1], np.diff(pts, axis=1), pts[:, -1:] - pts[:, :1]
-        n_sub = np.where(width > 0, np.clip(np.ceil(width / (0.25 * span + 1e-300)),
-                                            1, 8), 0).astype(np.intp).ravel()
-        owner = np.repeat(np.arange(theta.size).repeat(width.shape[1]), n_sub)
-        # sub-interval edges exactly as np.linspace(lo, hi, n + 1) places them
-        k = np.repeat(n_sub, n_sub)
-        j = np.arange(k.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-        a0 = np.repeat(lo.ravel(), n_sub)
-        step = np.repeat(width.ravel(), n_sub) / k
-        a = j * step + a0
-        b = np.where(j + 1 == k, np.repeat(pts[:, 1:].ravel(), n_sub),
-                     (j + 1) * step + a0)
+        """Panelwise GL integral of 1 / rho(T(w)) over [w_c, theta] per
+        theta, on _subdivide(_splits(theta), 4)."""
+        owner, a, b = _subdivide(self._splits(theta), 4)
         seg = self._inv_rho_integrals(a, b, (theta * theta)[owner])
         return np.bincount(owner, weights=seg, minlength=theta.size)
 
@@ -318,7 +342,7 @@ class HittingTimeQuadrature:
 
         R_total is (1 + gamma) R_int in ratio mode, else R_int + R_load, with
         the closed form R_int = L I(theta) / (y_c A_c).  The panels of _splits
-        are cut into about _PROFILE_INTERVALS equal sub-intervals in w; their
+        are cut into about _PROFILE_INTERVALS sub-intervals by _subdivide; their
         cumulative GL integrals give y at the edges, a Hermite spline of w(y)
         with the exact slope dw/dy = -rho(T(w)) gives w on the n_out + 1
         output points, and T = W^{-1}((theta^2 - w^2) / 2) on them.
@@ -327,16 +351,12 @@ class HittingTimeQuadrature:
         _check_n_out(n_out)
         if theta > 0:
             self._ensure(0.5 * theta * theta)
-        pts = self._splits(np.array([theta]))[0]
-        n_sub = np.ceil(_PROFILE_INTERVALS * np.diff(pts) / (pts[-1] - pts[0]))
-        edges = np.concatenate([np.linspace(a, b, int(n) + 1)[:-1]
-                                for a, b, n in zip(pts, pts[1:], n_sub) if n > 0]
-                               + [[theta]])
+        _, a, b = _subdivide(self._splits(np.array([theta])), _PROFILE_INTERVALS)
         tt = theta * theta
-        seg = self._inv_rho_integrals(edges[:-1], edges[1:], np.full(edges.size - 1, tt))
+        seg = self._inv_rho_integrals(a, b, np.full(a.size, tt))
         # y(w) counted from the hot end, where w = theta
         y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
-        w = edges[::-1]
+        w = np.append(a, theta)[::-1]
         slope = -spec.pair.rho.value(self._T_of_w(tt, w))
         # a sub-interval below an ulp of y adds no step; the spline needs y increasing
         keep = np.concatenate([[True], np.diff(y) > 0])

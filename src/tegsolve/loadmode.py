@@ -72,9 +72,9 @@ class LoadResistanceProblem:
         return HittingTimeQuadrature(self.spec)
 
 
-def H_of_theta(prob: LoadResistanceProblem, theta: float) -> float:
+def H_of_theta(prob: LoadResistanceProblem, theta):
     """H(theta) = I(theta) + S_load * y_c(theta), y_c by the phase-space
-    energy quadrature."""
+    energy quadrature; a float for scalar theta, an array for an array."""
     if prob.spec.V == 0:
         raise ZeroVoltage("H(theta) needs V != 0")
     I = shooting_function(prob.spec, theta)
@@ -131,13 +131,12 @@ class SolutionSet:
 def enumerate_solutions(prob: LoadResistanceProblem, *,
                         scan_samples: int = SCAN_SAMPLES,
                         tol_root: float = TOL_ROOT,
-                        tol_tangency: float = TOL_TANGENCY,
                         n_out: int = N_OUT) -> SolutionSet:
     """Find all solutions of H(theta) = |V| at the given scan resolution.
 
     Sign changes on a uniform theta grid are refined by Brent's method to
     |H - |V|| <= tol_root; stationary points that touch the level within
-    tol_tangency are reported as single flagged (tangency) roots.  Raises
+    TOL_TANGENCY are reported as single flagged (tangency) roots.  Raises
     DomainError for scan_samples < 2 and ScanIncomplete when no bracket
     exists anywhere in the scan window.
     """
@@ -148,10 +147,9 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
         raise DomainError(f"scan_samples must be >= 2, got {scan_samples}")
     target = abs(spec.V)
     r = spec.rk
-    quadrature = prob._quadrature
 
     def g(th):
-        return shooting_function(spec, th) + prob.S_load * quadrature.y_c(th) - target
+        return H_of_theta(prob, th) - target
 
     # bracket: H(|V|) > |V| always; extend downward until H < |V| or the floor
     theta_hi = target
@@ -205,7 +203,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
         n_sign += 1
 
     # tangency candidates: interior local minima of |g| away from brackets
-    screen = max(1e-4 * max(1.0, target), tol_tangency)
+    screen = max(1e-4 * max(1.0, target), TOL_TANGENCY)
     n_cand = 0
     for i in range(1, scan_samples - 1):
         if i in sign_change_cells or (i - 1) in sign_change_cells:
@@ -219,7 +217,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
                                   options={"xatol": 1e-12})
             th = float(res.x)
             val = abs(g(th))
-            if val <= tol_tangency:
+            if val <= TOL_TANGENCY:
                 found.append((th, True, val))
 
     # sort and merge near-duplicates (tangencies seen as a close crossing pair)
@@ -238,7 +236,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
                 continue
             if not (prev_tang or tang) and gap <= 2.0 * dtheta:
                 mid = 0.5 * (prev_th + th)
-                if abs(g(mid)) <= tol_tangency:
+                if abs(g(mid)) <= TOL_TANGENCY:
                     roots[-1] = (mid, True, abs(g(mid)))
                     merged += 1
                     notes.append(
@@ -264,7 +262,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
 
     records = []
     for th, tang, res in roots:
-        sol = quadrature.materialize(th, R_load=prob.R_load, n_out=n_out)
+        sol = prob._quadrature.materialize(th, R_load=prob.R_load, n_out=n_out)
         R_int = sol.R_total - prob.R_load
         records.append(RootRecord(
             theta=th, y_c=sol.y_c, R_total=sol.R_total,

@@ -21,7 +21,7 @@ takes the same route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
@@ -58,7 +58,9 @@ class PropertyModel:
     """Base class for positive scalar property functions of temperature.
 
     Subclasses provide raw evaluation (``value``) and kink temperatures
-    (slope discontinuities, which every integral uses as segment ends).
+    (slope discontinuities, which every integral uses as segment ends).  A
+    subclass's dataclass fields are its material-file schema: the family's
+    parameters, then the optional domain_low (and a pair-level partner).
     """
 
     family: ClassVar[str] = "abstract"
@@ -72,13 +74,12 @@ class PropertyModel:
         return ()
 
     def params(self) -> dict:
-        raise NotImplementedError
+        """The family's parameters: every field but domain_low and partner."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("domain_low", "partner")}
 
     def to_json(self) -> dict:
-        d = {"family": self.family}
-        d.update(self.params())
-        d["domain_low"] = self.domain_low
-        return d
+        return {"family": self.family, **self.params(), "domain_low": self.domain_low}
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,6 @@ class Constant(PropertyModel):
 
     def value(self, T):
         return _ret(self.c + 0.0 * np.asarray(T, dtype=float))
-
-    def params(self):
-        return {"c": self.c}
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,6 @@ class Linear(PropertyModel):
     def value(self, T):
         return _ret(self.a * np.asarray(T, dtype=float) + self.b)
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class Reciprocal(PropertyModel):
@@ -143,9 +138,6 @@ class Reciprocal(PropertyModel):
 
     def value(self, T):
         return _ret(self.c / np.asarray(T, dtype=float))
-
-    def params(self):
-        return {"c": self.c}
 
 
 @dataclass(frozen=True)
@@ -176,9 +168,6 @@ class LogAffine(PropertyModel):
         T = np.asarray(T, dtype=float)
         return _ret(self.c0 * (1.0 + self.c1 * np.log(T / self.T_ref)))
 
-    def params(self):
-        return {"c0": self.c0, "c1": self.c1, "T_ref": self.T_ref}
-
 
 @dataclass(frozen=True)
 class ClampedLinear(PropertyModel):
@@ -206,9 +195,6 @@ class ClampedLinear(PropertyModel):
 
     def kinks(self):
         return (self.T_pivot,)
-
-    def params(self):
-        return {"M": self.M, "T_pivot": self.T_pivot, "v_pivot": self.v_pivot}
 
 
 @dataclass(frozen=True)
@@ -242,13 +228,6 @@ class WiedemannFranz(PropertyModel):
 
     def kinks(self):
         return self._partner().kinks()
-
-    def params(self):
-        return {"Lo": self.Lo}
-
-    def to_json(self):
-        # the partner binding is pair-level state, not part of the schema
-        return {"family": self.family, "Lo": self.Lo, "domain_low": self.domain_low}
 
 
 @dataclass(frozen=True)
@@ -290,73 +269,57 @@ class Table(PropertyModel):
     def kinks(self):
         return tuple(self._T)
 
-    def params(self):
-        return {"knots": [[t, v] for t, v in self.knots]}
+
+# The material-file names of the families are the classes themselves.
+constant, linear, reciprocal, log_affine = Constant, Linear, Reciprocal, LogAffine
+clamped_linear, wiedemann_franz, table = ClampedLinear, WiedemannFranz, Table
+
+_FAMILIES = {cls.family: cls for cls in (Constant, Linear, Reciprocal, LogAffine,
+                                         ClampedLinear, WiedemannFranz, Table)}
 
 
-# Factory helpers mirroring the family names used in material files.
-
-def constant(c, domain_low=0.0):
-    return Constant(c=c, domain_low=domain_low)
-
-
-def linear(a, b, domain_low=None):
-    return Linear(a=a, b=b, domain_low=domain_low)
+def reject_unknown(where: str, keys, allowed, error=InvalidMaterial) -> None:
+    """error naming every key outside allowed."""
+    unknown = sorted(map(str, set(keys) - set(allowed)))
+    if unknown:
+        raise error(f"unknown key(s) {', '.join(map(repr, unknown))} in "
+                    f"{where}; allowed: {', '.join(allowed)}")
 
 
-def reciprocal(c, domain_low=0.0):
-    return Reciprocal(c=c, domain_low=domain_low)
-
-
-def log_affine(c0, c1, T_ref, domain_low=None):
-    return LogAffine(c0=c0, c1=c1, T_ref=T_ref, domain_low=domain_low)
-
-
-def clamped_linear(M, T_pivot, v_pivot, domain_low=0.0):
-    return ClampedLinear(M=M, T_pivot=T_pivot, v_pivot=v_pivot, domain_low=domain_low)
-
-
-def wiedemann_franz(Lo, domain_low=0.0):
-    return WiedemannFranz(Lo=Lo, domain_low=domain_low)
-
-
-def table(knots, domain_low=0.0):
-    return Table(knots=tuple(tuple(k) for k in knots), domain_low=domain_low)
-
-
-_FAMILIES = {
-    "constant": (Constant, ("c",)),
-    "linear": (Linear, ("a", "b")),
-    "reciprocal": (Reciprocal, ("c",)),
-    "log_affine": (LogAffine, ("c0", "c1", "T_ref")),
-    "clamped_linear": (ClampedLinear, ("M", "T_pivot", "v_pivot")),
-    "wiedemann_franz": (WiedemannFranz, ("Lo",)),
-    "table": (Table, ("knots",)),
-}
+def from_fields(cls, d, where: str, error=InvalidMaterial, extra=(),
+                skip=()) -> dict:
+    """The entries of the JSON object d that name fields of the dataclass
+    cls.  error for a d that is not an object, a key that is neither a field
+    (outside skip) nor in extra, and a missing field that has no default."""
+    if not isinstance(d, dict):
+        raise error(f"{where} must be a JSON object")
+    fs = [f for f in fields(cls) if f.name not in skip]
+    reject_unknown(where, d, [*extra, *(f.name for f in fs)], error)
+    for f in fs:
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{where} is missing required key {f.name!r}")
+    return {f.name: d[f.name] for f in fs if f.name in d}
 
 
 def model_from_json(d: dict) -> PropertyModel:
-    """Build a PropertyModel from its JSON dict form."""
+    """Build a PropertyModel from its JSON dict form: "family" plus the
+    family's fields (domain_low optional, null meaning the default)."""
     if not isinstance(d, dict) or "family" not in d:
         raise InvalidMaterial("property model must be an object with a 'family' key")
     fam = d["family"]
-    if fam not in _FAMILIES:
+    if not isinstance(fam, str) or fam not in _FAMILIES:
         raise InvalidMaterial(
             f"unknown property family {fam!r}; expected one of {sorted(_FAMILIES)}"
         )
-    cls, keys = _FAMILIES[fam]
-    kwargs = {}
-    for k in keys:
-        if k not in d:
-            raise InvalidMaterial(f"{fam} family is missing parameter {k!r}")
-        kwargs[k] = d[k]
+    kwargs = from_fields(_FAMILIES[fam], d, f"the {fam} family", extra=("family",),
+                         skip=("partner",))
     try:
-        if fam == "table":
-            kwargs["knots"] = tuple(tuple(k) for k in kwargs["knots"])
-        if "domain_low" in d and d["domain_low"] is not None:
-            kwargs["domain_low"] = float(d["domain_low"])
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+        if kwargs.get("domain_low") is None:
+            kwargs.pop("domain_low", None)
+        else:
+            kwargs["domain_low"] = float(kwargs["domain_low"])
+        return _FAMILIES[fam](**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidMaterial(f"bad parameters for family {fam!r}: {exc}") from exc
 
 
@@ -411,14 +374,15 @@ class MaterialPair:
     def domain_low(self) -> float:
         return max(self.kappa.domain_low, self.rho.domain_low)
 
-    def validate_range(self, T_lo: float, T_hi: float, n_probe: int = 17) -> None:
-        """Check both models are defined and positive on [T_lo, T_hi]."""
+    def validate_range(self, T_lo: float, T_hi: float) -> None:
+        """Check both models are defined and positive on [T_lo, T_hi]: at 17
+        uniform probes and every kink inside."""
         if T_lo < self.domain_low:
             raise DomainError(
                 f"[{T_lo}, {T_hi}] not contained in the models' valid domain "
                 f"(domain_low={self.domain_low})"
             )
-        probes = np.linspace(T_lo, T_hi, n_probe)
+        probes = np.linspace(T_lo, T_hi, 17)
         kinks = [t for m in (self.kappa, self.rho) for t in m.kinks() if T_lo < t < T_hi]
         if kinks:
             probes = np.concatenate([probes, kinks])
@@ -438,20 +402,17 @@ class MaterialPair:
 
 
 def pair_from_json(d: dict) -> MaterialPair:
-    for key in ("kappa", "rho", "alpha0"):
-        if key not in d:
-            raise InvalidMaterial(f"material definition is missing key {key!r}")
+    """Build a MaterialPair from its JSON form: kappa, rho and alpha0."""
+    kwargs = from_fields(MaterialPair, d, "the material definition")
     try:
-        alpha0 = float(d["alpha0"])
-    except (TypeError, ValueError) as exc:
+        alpha0 = float(kwargs["alpha0"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidMaterial(f"alpha0 must be a number: {exc}") from exc
     return MaterialPair(
-        kappa=model_from_json(d["kappa"]),
-        rho=model_from_json(d["rho"]),
+        kappa=model_from_json(kwargs["kappa"]),
+        rho=model_from_json(kwargs["rho"]),
         alpha0=alpha0,
     )
-
-
 
 
 @lru_cache(maxsize=8)

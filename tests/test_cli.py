@@ -123,6 +123,14 @@ def test_missing_material_file_exit_code_and_record(tmp_path, capsys):
     assert record["exit_code"] == cli.EXIT_MATERIAL
 
 
+def test_unreadable_material_file_exit_code_and_record(tmp_path, capsys):
+    cfg = _write_config(tmp_path, material_file=str(tmp_path))  # a directory
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_MATERIAL
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidMaterial"
+    assert record["exit_code"] == cli.EXIT_MATERIAL
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -154,12 +162,14 @@ def test_scan_samples_below_two_exit_code_and_record(tmp_path, capsys):
         material_file=str(CONFIG_DIR / "materials" / "clamped_three_solutions.json"),
         mode={"type": "multiplicity", "R_load": 8.0},
     )
+    # the override goes through the same validation as the config file's value
     code = cli.main(["multiplicity", "--config", str(cfg), "--scan-samples", "1"])
-    assert code == cli.EXIT_SOLVER
+    assert code == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "DomainError"
+    assert record["error"] == "ConfigError"
     assert "scan_samples" in record["message"]
-    assert record["exit_code"] == cli.EXIT_SOLVER
+    assert record["exit_code"] == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_degenerate_report_exit_code(tmp_path, capsys):
@@ -258,6 +268,40 @@ def test_non_numeric_material_field_exit_code_and_record(tmp_path, capsys, mater
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "InvalidMaterial"
     assert record["exit_code"] == cli.EXIT_MATERIAL
+
+
+@pytest.mark.parametrize("material,key", [
+    ({"kappa": {"family": "constant", "c": 1.0},
+      "rho": {"family": "constant", "c": 1.0}, "alpha_0": 1.0}, "alpha_0"),
+    ({"kappa": {"family": "constant", "c": 1.0, "bogus": 1.0},
+      "rho": {"family": "constant", "c": 1.0}, "alpha0": 1.0}, "bogus"),
+    ({"kappa": {"family": "constant", "c": 1.0},
+      "rho": {"family": "linear", "a": 1.0, "b": 1.0, "domain_lo": 0.5},
+      "alpha0": 1.0}, "domain_lo"),
+], ids=["pair_level", "model_level", "domain_low_typo"])
+def test_unknown_material_key_exit_code_and_record(tmp_path, capsys, material, key):
+    mat = tmp_path / "material.json"
+    mat.write_text(json.dumps(material))
+    cfg = _write_config(tmp_path, material_file=str(mat))
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_MATERIAL
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidMaterial"
+    assert repr(key) in record["message"]
+    assert record["exit_code"] == cli.EXIT_MATERIAL
+
+
+def test_unexpected_exception_exit_code_and_record(tmp_path, capsys, monkeypatch):
+    def broken(cfg, spec):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", broken)
+    cfg = _write_config(tmp_path)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip()) == {"error": "ZeroDivisionError",
+                                       "message": "float division by zero",
+                                       "exit_code": cli.EXIT_SOLVER}
 
 
 def test_dump_config_round_trip(tmp_path, capsys):

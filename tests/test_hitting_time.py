@@ -244,3 +244,13 @@ def test_converging_coupling_integral_raises_numerical_blowup():
     with pytest.raises(tg.NumericalBlowup):
         q.y_c(4.0 * math.sqrt(2.0 * spec.rk))
     assert q._grid_T is grid  # the failed extension appended nothing
+
+
+def test_theta_squared_overflow_raises_numerical_blowup():
+    # theta^2 overflows a float: the slope range w_c..theta is not representable
+    spec = _spec_at(3, 2)
+    q = tg.HittingTimeQuadrature(spec)
+    with pytest.raises(tg.NumericalBlowup, match="not a finite float"):
+        q.y_c(-1e200)
+    with pytest.raises(tg.NumericalBlowup, match="not a finite float"):
+        q.materialize(-1e200, gamma=1.0)

@@ -413,3 +413,23 @@ def test_blowup_reported_for_unreachable_scan():
     with pytest.raises(ScanIncomplete) as err:
         tg.enumerate_solutions(prob)
     assert err.value.diagnostics is not None
+
+
+def test_ratio_mode_where_rho_kappa_stalls_above_T_h():
+    # kappa = 3 - T turns negative at 3 K, above T_h = 2.5: W stops growing
+    # there, which caps the grid, while theta* = -4.8125 never leaves [T_c, T_h]
+    pair = tg.MaterialPair(kappa=tg.linear(a=-1.0, b=3.0), rho=tg.constant(1.0),
+                           alpha0=0.5)
+    spec = tg.GeneratorSpec(pair=pair, T_h=2.5, T_c=1.0)
+    sol = tg.solve_ratio_mode(spec, 1.0)
+    assert sol.theta == pytest.approx(-4.8125, rel=1e-14)
+    assert abs(sol.eta_numeric - tg.efficiency(spec, 1.0)) <= TOL_ETA
+    q = tg.HittingTimeQuadrature(spec)
+    assert spec.T_h <= q._grid_T[-1] < 3.0
+    # W(3) - W(T_h) = 1/8, so theta^2 / 2 within the cap is served ...
+    assert q.y_c(0.45) > 0
+    grid = q._grid_T
+    # ... and a theta that needs W beyond it raises, leaving the grid as it was
+    with pytest.raises(tg.NumericalBlowup, match="stops growing at T=3"):
+        q.y_c(1.0)
+    assert q._grid_T is grid

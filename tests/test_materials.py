@@ -311,6 +311,33 @@ def test_material_json_roundtrip():
     assert np.allclose(pair2.rho.value(Ts), pair.rho.value(Ts))
 
 
+@pytest.mark.parametrize("build,key", [
+    (lambda: tg.pair_from_json({"kappa": {"family": "constant", "c": 1.0},
+                                "rho": {"family": "constant", "c": 1.0},
+                                "alpha_0": 1.0}), "alpha_0"),
+    (lambda: tg.model_from_json({"family": "linear", "a": 1.0, "b": 1.0,
+                                 "bogus": 2.0}), "bogus"),
+    (lambda: tg.model_from_json({"family": "constant", "c": 1.0,
+                                 "domain_lo": 0.5}), "domain_lo"),
+], ids=["pair_level", "model_level", "domain_low_typo"])
+def test_material_json_rejects_unknown_keys(build, key):
+    with pytest.raises(InvalidMaterial, match=repr(key)):
+        build()
+
+
+def test_family_names_are_the_classes():
+    assert tg.constant is tg.Constant and tg.table is tg.Table
+    assert tg.wiedemann_franz is tg.WiedemannFranz
+    # to_json lists exactly the dataclass fields but the pair-level partner
+    pair = tg.MaterialPair(kappa=tg.log_affine(1.0, 0.5, 0.8),
+                           rho=tg.wiedemann_franz(0.7), alpha0=1.0)
+    assert pair.to_json()["kappa"] == {"family": "log_affine", "c0": 1.0,
+                                       "c1": 0.5, "T_ref": 0.8,
+                                       "domain_low": 0.8 * math.exp(-2.0)}
+    assert pair.to_json()["rho"] == {"family": "wiedemann_franz", "Lo": 0.7,
+                                     "domain_low": 0.0}
+
+
 def test_material_json_rejects_unknown_family():
     with pytest.raises(InvalidMaterial):
         tg.model_from_json({"family": "cubic", "a": 1.0})
