@@ -132,7 +132,8 @@ def max_efficiency(spec: GeneratorSpec) -> tuple[float, float]:
     """(eta_max, gamma_opt) with gamma_opt = sqrt(1 + z*T_m) >= 1."""
     z = figure_of_merit(spec)
     s = math.sqrt(1.0 + z * spec.T_m)
-    eta_max = (spec.delta_T / spec.T_h) * (s - 1.0) / (s + spec.T_c / spec.T_h)
+    s_1 = z * spec.T_m / (s + 1.0)  # s - 1, free of cancellation at small z
+    eta_max = (spec.delta_T / spec.T_h) * s_1 / (s + spec.T_c / spec.T_h)
     return eta_max, s
 
 
@@ -181,16 +182,18 @@ def sherman_relation(spec: GeneratorSpec) -> tuple[float, float]:
     """Both sides of the Sherman hot-flux relation at maximum efficiency.
 
     lhs: hot_side_relative_flux at gamma_opt.
-    rhs: (1 - eta_max)/sqrt(1 - (1 - eta_max)^2) * sqrt(2 r).
+    rhs: (1 - eta_max)/sqrt(1 - (1 - eta_max)^2) * sqrt(2 r), the root taken of
+    eta_max (2 - eta_max), free of cancellation; DegenerateError if eta_max is 0.
     The two agree identically; returning both lets callers check the algebra
     at floating precision.
     """
     if spec.V == 0:
         raise ZeroVoltage("Sherman relation needs V != 0")
     eta_max, gamma_opt = max_efficiency(spec)
+    if eta_max == 0:
+        raise DegenerateError("Sherman relation needs eta_max > 0, got 0")
     lhs = hot_side_relative_flux(spec, gamma_opt)
-    c = 1.0 - eta_max
-    rhs = c / math.sqrt(1.0 - c * c) * math.sqrt(2.0 * spec.rk)
+    rhs = (1.0 - eta_max) / math.sqrt(eta_max * (2.0 - eta_max)) * math.sqrt(2 * spec.rk)
     return lhs, rhs
 
 

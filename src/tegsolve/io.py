@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -37,10 +38,16 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per row as fmt writes it; rows of floats only go through one
+    "%.17g" format over all their values, which gives the same bytes."""
+    rows = [tuple(row) for row in rows]
+    flat = tuple(chain.from_iterable(rows))
+    if all(issubclass(t, float) for t in set(map(type, flat))):
+        line = {n: ",".join(["%.17g"] * n) + "\n" for n in set(map(len, rows))}
+        body = "".join(map(line.__getitem__, map(len, rows))) % flat
+    else:
+        body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 def write_json(path, obj: dict) -> None:
@@ -125,9 +132,9 @@ def config_from_dict(data: dict) -> RunConfig:
         _require(m["n"] >= 2, "sweep mode needs n >= 2")
     else:
         _require(m["R_load"] > 0, f"{mtype} mode needs R_load > 0")
-    _require(cfg.tolerances.get("n_out", 1) >= 1, "'tolerances.n_out' must be >= 1")
-    _require(cfg.tolerances.get("scan_samples", 2) >= 2,
-             "'tolerances.scan_samples' must be >= 2")
+    for k, least in (("n_out", 1), ("scan_samples", 2), ("sweep_n", 2)):
+        _require(cfg.tolerances.get(k, least) >= least,
+                 f"'tolerances.{k}' must be >= {least}")
     _require(cfg.T_c > 0, "need T_c > 0")
     _require(cfg.T_h >= cfg.T_c, "need T_h >= T_c")
     _require(cfg.L > 0 and cfg.A_c > 0, "need L > 0 and A_c > 0")

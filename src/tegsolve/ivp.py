@@ -181,6 +181,13 @@ def _subdivide(pts: np.ndarray, n_span: int):
     return owner, j * step + a0, b
 
 
+def _unmirrored(theta: np.ndarray, owner, a, b):
+    """The sub-intervals of _subdivide outside [-theta[owner], 0]: for theta > 0
+    the integrand depends on w^2 only, so those mirror the ones in [0, theta]."""
+    keep = (a < -theta[owner]) | (a >= 0)
+    return owner[keep], a[keep], b[keep]
+
+
 def _stall_error(T: float) -> NumericalBlowup:
     return NumericalBlowup(
         f"coupling integral stops growing at T={T:.6g}; "
@@ -199,8 +206,8 @@ class HittingTimeQuadrature:
         w_c = -sqrt(theta^2 + 2 r).
 
     The integrand is bounded and piecewise-analytic; panelwise Gauss-Legendre
-    with splits at the w-images of rho/kappa kinks gives near machine
-    precision at a fraction of the cost of an ODE solve.  The inverse of W is
+    with splits at the w-images of rho/kappa kinks costs a fraction of an ODE
+    solve; accurate unless rho nears 0 just past w = +-theta.  The inverse of W is
     cached as a Hermite spline on a kink-aware grid with node values from
     8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
@@ -330,9 +337,11 @@ class HittingTimeQuadrature:
 
     def _y_c_chunk(self, theta: np.ndarray) -> np.ndarray:
         """Panelwise GL integral of 1 / rho(T(w)) over [w_c, theta] per
-        theta, on _subdivide(_splits(theta), 4)."""
-        owner, a, b = _subdivide(self._splits(theta), 4)
+        theta, on _subdivide(_splits(theta), 4), with [0, theta] counted
+        twice in place of its mirror [-theta, 0]."""
+        owner, a, b = _unmirrored(theta, *_subdivide(self._splits(theta), 4))
         seg = self._inv_rho_integrals(a, b, (theta * theta)[owner])
+        seg[a >= 0] *= 2.0
         return np.bincount(owner, weights=seg, minlength=theta.size)
 
     def materialize(self, theta: float, *, gamma: float | None = None,
@@ -351,12 +360,17 @@ class HittingTimeQuadrature:
         _check_n_out(n_out)
         if theta > 0:
             self._ensure(0.5 * theta * theta)
-        _, a, b = _subdivide(self._splits(np.array([theta])), _PROFILE_INTERVALS)
+        th = np.array([theta])
+        _, a, b = _unmirrored(th, *_subdivide(self._splits(th), _PROFILE_INTERVALS))
         tt = theta * theta
         seg = self._inv_rho_integrals(a, b, np.full(a.size, tt))
         # y(w) counted from the hot end, where w = theta
         y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
         w = np.append(a, theta)[::-1]
+        n = np.count_nonzero(a >= 0)  # sub-intervals in [0, theta]: w[n] = 0
+        if n:  # edges of [-theta, 0] by reflection: w = -v, y(-v) = 2 y(0) - y(v)
+            w = np.concatenate([w[:n + 1], -w[n - 1::-1], w[n + 1:]])
+            y = np.concatenate([y[:n + 1], 2.0 * y[n] - y[n - 1::-1], y[n] + y[n + 1:]])
         slope = -spec.pair.rho.value(self._T_of_w(tt, w))
         # a sub-interval below an ulp of y adds no step; the spline needs y increasing
         keep = np.concatenate([[True], np.diff(y) > 0])

@@ -213,6 +213,22 @@ def test_sherman_relation_unit_and_degenerate_limit():
     assert lhs / rhs == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha0", [1e-9, 1e-7, 1e-5])
+def test_sherman_relation_small_eta_max(alpha0):
+    # eta_max = z / 4 here, at or below the rounding of 1 - eta_max; the two
+    # sides grow like 1 / alpha0 and still agree
+    lhs, rhs = tg.sherman_relation(unit_spec(alpha0=alpha0))
+    assert lhs == pytest.approx(2.0 / alpha0, rel=1e-6)
+    assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_sherman_relation_zero_eta_max_is_degenerate():
+    spec = unit_spec(alpha0=1e-170)  # z underflows to 0, so eta_max is 0
+    assert tg.max_efficiency(spec)[0] == 0.0
+    with pytest.raises(DegenerateError):
+        tg.sherman_relation(spec)
+
+
 def test_sherman_relation_reciprocal_kappa():
     pair = tg.MaterialPair(kappa=tg.reciprocal(2.0), rho=tg.constant(0.5),
                            alpha0=0.9)

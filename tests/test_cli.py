@@ -4,9 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tegsolve import cli
+from tegsolve import cli, io
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -252,6 +253,48 @@ def test_tolerance_range_exit_code_and_record(tmp_path, capsys, tolerances):
     assert record["error"] == "ConfigError"
     assert next(iter(tolerances)) in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep_n", [-1, 0, 1])
+def test_report_sweep_n_below_two_exit_code_and_record(tmp_path, capsys, sweep_n):
+    cfg = _write_config(tmp_path, tolerances={"sweep_n": sweep_n})
+    assert cli.main(["report", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert "sweep_n" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_at_tiny_seebeck_coefficient(tmp_path):
+    material = tmp_path / "mat.json"
+    material.write_text(json.dumps({"kappa": {"family": "constant", "c": 1.0},
+                                    "rho": {"family": "constant", "c": 1.0},
+                                    "alpha0": 1e-9}))
+    cfg = _write_config(tmp_path, material_file=str(material))
+    assert cli.main(["report", "--config", str(cfg)]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["sherman_lhs"] == pytest.approx(rep["sherman_rhs"], rel=1e-10)
+
+
+def _format_17g(v):
+    """The per-value CSV rule: bools as 1/0, ints as digits, any other
+    value as format(float(v), ".17g")."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return str(v) if isinstance(v, int) else format(float(v), ".17g")
+
+
+@pytest.mark.parametrize("rows", [
+    [(-0.0, math.inf, -math.inf), (math.nan, 5e-324, 1.7976931348623157e308),
+     (np.float64(-0.0), np.float64(5e-324), np.float64(math.nan)),
+     (0.1, np.float64(0.1), 1 / 3), (np.float64(-1e-300), 2.5, np.float64(1e22))],
+    [(0.1, True, 3), (np.float64(-0.0), False, -7), (math.inf, 2 ** 70, np.int64(5))],
+    [],
+], ids=["floats", "bool_and_int", "empty"])
+def test_write_csv_bytes_match_per_value_format(tmp_path, rows):
+    io.write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
+    want = "a,b,c\n" + "".join(",".join(map(_format_17g, r)) + "\n" for r in rows)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize("material", [

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tegsolve as tg
-from tegsolve import cli
+from tegsolve import cli, errors
 from tegsolve.io import MODE_FIELDS, TOLERANCES, RunConfig
 
 # a valid parameter set of every family, the starting point of each material
@@ -32,6 +32,8 @@ FAMILY_CLASSES = {c.family: c for c in (tg.Constant, tg.Linear, tg.Reciprocal,
 # Counts size arrays, so a huge one is a legitimate request for that much
 # memory, not a malformed input: they are drawn from a small range.
 COUNT_KEYS = {"scan_samples", "n_out", "sweep_n", "n"}
+TEG_ERRORS = {name for name, c in vars(errors).items()
+              if isinstance(c, type) and issubclass(c, errors.TegError)}
 
 _name = st.text(alphabet=string.ascii_letters + string.digits + "_", max_size=6)
 _scalar = (st.none() | st.booleans() | st.integers() | st.floats() | _name)
@@ -113,3 +115,5 @@ def test_every_input_exits_with_a_documented_code(case):
         record = json.loads(err.getvalue().strip().splitlines()[-1])
         assert record["exit_code"] == code
         assert set(record) == {"error", "message", "exit_code"}
+        # a solver failure is a typed error, never the catch-all
+        assert code != 4 or record["error"] in TEG_ERRORS, record

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.integrate import quad_vec
+from scipy.interpolate import CubicHermiteSpline
 
 import tegsolve as tg
-from tegsolve import loadmode
+from tegsolve import ivp, loadmode
 
 import oracles
 from helpers import make_model, random_spec, three_solution_problem, two_solution_problem
@@ -254,3 +255,64 @@ def test_theta_squared_overflow_raises_numerical_blowup():
         q.y_c(-1e200)
     with pytest.raises(tg.NumericalBlowup, match="not a finite float"):
         q.materialize(-1e200, gamma=1.0)
+
+
+def full_panel_y_c(q, theta):
+    """y_c with every sub-interval of _subdivide(_splits(theta), 4)
+    integrated, the [-theta, 0] panels included (the rule before mirroring)."""
+    owner, a, b = ivp._subdivide(q._splits(theta), 4)
+    seg = q._inv_rho_integrals(a, b, (theta * theta)[owner])
+    return np.bincount(owner, weights=seg, minlength=theta.size)
+
+
+def full_panel_profile(q, theta, n_out=ivp.N_OUT):
+    """(T, y_c) of materialize(theta) by the rule before mirroring: every
+    sub-interval integrated, the [-theta, 0] edges included."""
+    _, a, b = ivp._subdivide(q._splits(np.array([theta])), ivp._PROFILE_INTERVALS)
+    tt = theta * theta
+    seg = q._inv_rho_integrals(a, b, np.full(a.size, tt))
+    y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
+    w = np.append(a, theta)[::-1]
+    slope = -q.spec.pair.rho.value(q._T_of_w(tt, w))
+    keep = np.concatenate([[True], np.diff(y) > 0])
+    w_out = CubicHermiteSpline(y[keep], w[keep], slope[keep])(
+        np.linspace(0.0, y[-1], n_out + 1))
+    return q._T_of_w(tt, w_out), float(y[-1])
+
+
+def _mirror_cases():
+    yield "three_solutions", three_solution_problem().spec
+    yield "two_solutions", two_solution_problem()[0].spec
+    rng = np.random.default_rng(71)
+    for idx in range(20):
+        yield f"random_{idx}", random_spec(rng, idx)
+
+
+@pytest.mark.parametrize("name,spec", list(_mirror_cases()),
+                         ids=[name for name, _ in _mirror_cases()])
+def test_mirrored_panels_match_full_panel_rule(name, spec):
+    q = tg.HittingTimeQuadrature(spec, n_base=1025)
+    s = math.sqrt(2.0 * spec.rk)
+    V = abs(spec.V)
+    thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0, 1e-3 * s, 0.1 * s, 0.5 * s,
+                       s, 0.5 * V, 0.99 * V])
+    got = q.y_c(thetas)  # extends the grid first, so both read the same one
+    want = full_panel_y_c(q, thetas)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
+    for theta in thetas[[1, 4, 7, 9]]:
+        T_want, y_c_want = full_panel_profile(q, float(theta))
+        sol = q.materialize(float(theta), gamma=1.0)
+        assert np.max(np.abs(sol.T - T_want)) <= 1e-14 * spec.T_h, (name, theta)
+        assert sol.y_c == pytest.approx(y_c_want, rel=1e-14, abs=0), (name, theta)
+
+
+def test_materialize_where_mirrored_panels_get_no_sub_interval():
+    # 512 * theta / span underflows to 0: [0, theta] and [-theta, 0] both get
+    # no sub-interval, so there is nothing to reflect
+    pair = tg.MaterialPair(kappa=tg.constant(1e3), rho=tg.constant(1e3), alpha0=1.0)
+    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0),
+                                 n_base=257)
+    T_want, y_c_want = full_panel_profile(q, 5e-324)
+    sol = q.materialize(5e-324, gamma=1.0)
+    np.testing.assert_array_equal(sol.T, T_want)
+    assert sol.y_c == y_c_want
