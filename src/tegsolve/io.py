@@ -28,25 +28,13 @@ TOLERANCES = {"scan_samples": int, "n_out": int, "tol_root": float,
               "sweep_gamma_max": float, "sweep_n": int}
 
 
-def fmt(x) -> str:
-    """17-significant-digit float formatting (round-trip exact)."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header: list[str], rows) -> None:
-    """One line per row as fmt writes it; rows of floats only go through one
-    "%.17g" format over all their values, which gives the same bytes."""
+    """One line per row, every value as "%.17g" formats it (round-trip exact
+    for floats, 1/0 for bools), all rows in one format pass."""
     rows = [tuple(row) for row in rows]
-    flat = tuple(chain.from_iterable(rows))
-    if all(issubclass(t, float) for t in set(map(type, flat))):
-        line = {n: ",".join(["%.17g"] * n) + "\n" for n in set(map(len, rows))}
-        body = "".join(map(line.__getitem__, map(len, rows))) % flat
-    else:
-        body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    line = {n: ",".join(["%.17g"] * n) + "\n" for n in set(map(len, rows))}
+    template = "".join(map(line.__getitem__, map(len, rows)))
+    body = template % tuple(chain.from_iterable(rows))
     Path(path).write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 

@@ -277,20 +277,21 @@ def test_report_at_tiny_seebeck_coefficient(tmp_path):
 
 
 def _format_17g(v):
-    """The per-value CSV rule: bools as 1/0, ints as digits, any other
-    value as format(float(v), ".17g")."""
-    if isinstance(v, bool):
+    """The per-value CSV rule: bools as 1/0, any other value as
+    format(float(v), ".17g")."""
+    if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
-    return str(v) if isinstance(v, int) else format(float(v), ".17g")
+    return format(float(v), ".17g")
 
 
 @pytest.mark.parametrize("rows", [
     [(-0.0, math.inf, -math.inf), (math.nan, 5e-324, 1.7976931348623157e308),
      (np.float64(-0.0), np.float64(5e-324), np.float64(math.nan)),
      (0.1, np.float64(0.1), 1 / 3), (np.float64(-1e-300), 2.5, np.float64(1e22))],
-    [(0.1, True, 3), (np.float64(-0.0), False, -7), (math.inf, 2 ** 70, np.int64(5))],
+    [(0.1, np.float64(2.5), True), (np.float64(-0.0), math.inf, False),
+     (1 / 3, 5e-324, np.True_), (np.float64(1e22), -1e-300, np.False_)],
     [],
-], ids=["floats", "bool_and_int", "empty"])
+], ids=["floats", "floats_and_bools", "empty"])
 def test_write_csv_bytes_match_per_value_format(tmp_path, rows):
     io.write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
     want = "a,b,c\n" + "".join(",".join(map(_format_17g, r)) + "\n" for r in rows)
