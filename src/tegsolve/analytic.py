@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateError, DomainError, ZeroSeebeck, ZeroVoltage
-from .materials import MaterialPair, _ret, rho_kappa_integral, segment_integrals
+from .materials import (MaterialPair, _ret, rho_kappa_integral, segment_integrals,
+                        segment_nodes)
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,12 @@ class GeneratorSpec:
         return _ret(u[np.searchsorted(grid, T)])
 
     def K_table(self, T_top: float, extra=()):
-        """Nodes of segment_integrals on [T_c, T_top], the extra temperatures
-        merged in, and K on them: running sums of the segment integrals with
+        """segment_nodes on [T_c, T_top], the extra temperatures merged in,
+        and K on them: running sums of the segment integrals with
         each addition's rounding error added back (TwoSum), so every K is as
         accurate as a pairwise sum."""
-        grid, seg = segment_integrals(self.pair, self.pair.kappa.value,
-                                      self.T_c, T_top, extra=extra)
-        x = np.concatenate([[self.T_c], seg])
+        grid = segment_nodes(self.pair, self.T_c, T_top, extra=extra)
+        x = np.concatenate([[self.T_c], segment_integrals(self.pair.kappa.value, grid)])
         u = np.cumsum(x)
         prev = np.concatenate([[0.0], u[:-1]])
         err = (prev - (u - (u - prev))) + (x - (u - prev))

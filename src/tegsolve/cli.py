@@ -18,6 +18,7 @@ stderr: {"error": <class>, "message": <text>, "exit_code": <n>}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -167,6 +168,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tegsolve",

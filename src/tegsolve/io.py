@@ -87,6 +87,13 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _count(key: str, v) -> int:
+    """v as a count; a bool or a fraction (int() would truncate) names key."""
+    _require(not isinstance(v, bool) and float(v).is_integer(),
+             f"{key} must be a whole number, got {v!r}")
+    return int(v)
+
+
 def config_from_dict(data: dict) -> RunConfig:
     d = from_fields(RunConfig, data, "the config", ConfigError)
     mode = d["mode"]
@@ -105,9 +112,10 @@ def config_from_dict(data: dict) -> RunConfig:
              "phase-space quadrature, which integrates no ODE")
     reject_unknown("'tolerances'", tol, TOLERANCES, ConfigError)
     try:
-        d["mode"] = {k: v if k == "type" else int(v) if k == "n" else float(v)
-                     for k, v in mode.items()}
-        d["tolerances"] = {k: TOLERANCES[k](v) for k, v in tol.items()}
+        d["mode"] = {k: v if k == "type" else _count(f"{mtype} mode's {k!r}", v)
+                     if k == "n" else float(v) for k, v in mode.items()}
+        d["tolerances"] = {k: _count(f"'tolerances.{k}'", v) if TOLERANCES[k] is int
+                           else float(v) for k, v in tol.items()}
         cfg = RunConfig(**{k: _FIELD_TYPES[k](v) for k, v in d.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config has a non-numeric field: {exc}") from exc

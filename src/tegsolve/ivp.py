@@ -35,7 +35,7 @@ from .errors import (
     NonPositiveHotFlux,
     NumericalBlowup,
 )
-from .materials import _gauss_legendre, _ret, segment_integrals
+from .materials import _gauss_legendre, _ret, segment_integrals, segment_nodes
 
 TOL_ETA = 1e-6      # closed-form vs flux-ratio efficiency agreement
 TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
@@ -211,11 +211,11 @@ class HittingTimeQuadrature:
     cached as a Hermite spline on a kink-aware grid with node values from
     8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
-    every spline interval O(h^4).  A theta beyond the grid appends blocks of
-    n_base nodes above it, so earlier nodes never move.  Where W stops growing
-    above T_h the grid ends, and only a theta that needs W beyond that end
-    raises NumericalBlowup.  materialize turns the same integrand into a full
-    profile.
+    every spline interval O(h^4).  The grid is built to T_h, as far as theta
+    <= 0 reaches; theta > 0 appends the rest of the first n_base-node block,
+    then further blocks, so nodes never move.  Where W stops growing above
+    T_h the grid ends, and only a theta that needs W beyond that end raises
+    NumericalBlowup.  materialize turns the same integrand into a profile.
     """
 
     def __init__(self, spec: GeneratorSpec, *, gl_order: int = 80,
@@ -230,23 +230,26 @@ class HittingTimeQuadrature:
         self._build()
 
     def _build(self):
+        """W(T) - W(T_h) on the first block's nodes up to T_h; the rest goes
+        on from the unanchored W(T_h), as one pass would sum it, in _ensure."""
         spec = self.spec
-        grid, W, self._stall = self._w_block(spec.T_c, self._T_top, 0.0)
-        W -= W[int(np.searchsorted(grid, spec.T_h))]  # anchor W(T_h) = 0
-        self._grid_T = grid
-        self._grid_W = W
+        grid = segment_nodes(spec.pair, spec.T_c, self._T_top, self.n_base,
+                             extra=(spec.T_h,))
+        i_h = int(np.searchsorted(grid, spec.T_h))
+        self._grid_T, W, self._stall = self._w_block(grid, slice(0, i_h), 0.0, 0.0)
+        self._next = (grid, slice(i_h, grid.size - 1), W[-1], -W[-1])
+        self._grid_W = W - W[-1]
         self._fit()
 
-    def _w_block(self, lo: float, hi: float, W_lo: float):
-        """Nodes on [lo, hi] (n_base uniform plus the kinks and T_h inside),
-        W on them counted from W(lo) = W_lo (the cumulative sum of
-        segment_integrals of rho * kappa), and the temperature where W stops
-        growing, or None.  A block with a stall ends before it, at the last
-        node where rho * kappa > 0; NumericalBlowup if that cuts off T_h."""
+    def _w_block(self, grid, rows: slice, W_0: float, shift: float):
+        """The nodes of the segments rows of grid, W on them (the running sum
+        of their rho * kappa integrals from W_0, plus shift) and the T where W
+        stops growing, or None.  A stall ends the block at the last node where
+        rho * kappa > 0 before it; NumericalBlowup if that cuts off T_h."""
         pair = self.spec.pair
-        grid, seg = segment_integrals(pair, pair.rho_kappa, lo, hi, self.n_base,
-                                      extra=(self.spec.T_h,))
-        W = W_lo + np.concatenate([[0.0], np.cumsum(seg)])
+        seg = segment_integrals(pair.rho_kappa, grid, rows)
+        grid = grid[rows.start:rows.stop + 1]
+        W = np.cumsum(np.concatenate([[W_0], seg])) + shift
         stall = np.flatnonzero(~(np.diff(W) > 0))
         if not stall.size:
             return grid, W, None
@@ -258,10 +261,13 @@ class HittingTimeQuadrature:
         return grid[:end], W[:end], T_stall
 
     def _fit(self):
-        """Hermite spline of W^{-1} and the W-images of the kinks."""
+        """Hermite spline of W^{-1}, constant above the top node so T(W[-1])
+        is exact as at inner nodes, and the W-images of the kinks."""
         pair, grid, W = self.spec.pair, self._grid_T, self._grid_W
         self._inv = CubicHermiteSpline(W, grid, 1.0 / pair.rho_kappa(grid),
                                        extrapolate=False)
+        self._inv.extend(np.array([[0.0], [0.0], [0.0], [grid[-1]]]),
+                         [np.nextafter(W[-1], np.inf)])
         kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
         self._kink_q = sorted({
             float(W[int(np.searchsorted(grid, t))]) for t in kk
@@ -269,20 +275,25 @@ class HittingTimeQuadrature:
         })
 
     def _ensure(self, q_max: float):
-        """Append blocks until W reaches q_max; on failure nothing changes.
-        A stall caps the grid: a q_max beyond it is a NumericalBlowup."""
+        """Append the first block's rest, then blocks, until W reaches q_max;
+        on failure nothing changes.  A q_max past a stall is a NumericalBlowup."""
         T_top, grid, W, T_stall = self._T_top, self._grid_T, self._grid_W, self._stall
         if W[-1] >= q_max:
             return
+        block = self._next
         for _ in range(120):
             if T_stall is not None:
                 raise _stall_error(T_stall)
-            lo, T_top = T_top, self.spec.T_h + 2.0 * (T_top - self.spec.T_h)
-            g, w, T_stall = self._w_block(lo, T_top, float(W[-1]))
+            if block is None:
+                lo, T_top = T_top, self.spec.T_h + 2.0 * (T_top - self.spec.T_h)
+                g = segment_nodes(self.spec.pair, lo, T_top, self.n_base)
+                block = (g, slice(0, g.size - 1), 0.0, float(W[-1]))
+            g, w, T_stall = self._w_block(*block)
+            block = None
             grid, W = np.concatenate([grid, g[1:]]), np.concatenate([W, w[1:]])
             if W[-1] >= q_max:
                 self._T_top, self._grid_T, self._grid_W = T_top, grid, W
-                self._stall = T_stall
+                self._stall, self._next = T_stall, None
                 self._fit()
                 return
         raise NumericalBlowup(
@@ -372,9 +383,10 @@ class HittingTimeQuadrature:
             w = np.concatenate([w[:n + 1], -w[n - 1::-1], w[n + 1:]])
             y = np.concatenate([y[:n + 1], 2.0 * y[n] - y[n - 1::-1], y[n] + y[n + 1:]])
         slope = -spec.pair.rho.value(self._T_of_w(tt, w))
-        # a sub-interval below an ulp of y adds no step; the spline needs y increasing
-        keep = np.concatenate([[True], np.diff(y) > 0])
+        # the spline needs y increasing, and a step below an ulp of y_c only
+        # adds divided differences that overflow: such a knot is dropped
         y_c = float(y[-1])
+        keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y_c])
         w_out = CubicHermiteSpline(y[keep], w[keep], slope[keep])(
             np.linspace(0.0, y_c, n_out + 1))
         T = self._T_of_w(tt, w_out)

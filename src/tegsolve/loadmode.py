@@ -180,7 +180,10 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
             n_sign += 1
             continue
         if a * b < 0.0:
-            th = brentq(g, float(grid[i]), float(grid[i + 1]),
+            # prob goes in args: brentq's wrapper is a reference cycle, and a
+            # closure over prob would keep its quadrature until a gc pass
+            th = brentq(lambda t, p: H_of_theta(p, t) - target, float(grid[i]),
+                        float(grid[i + 1]), args=(prob,),
                         xtol=1e-13 * max(1.0, abs(grid[i]) + abs(grid[i + 1])),
                         rtol=4 * np.finfo(float).eps, maxiter=200)
             res = g(th)

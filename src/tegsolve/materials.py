@@ -421,29 +421,33 @@ def _gauss_legendre(order: int):
     return nodes, weights
 
 
-def segment_integrals(pair: MaterialPair, f, lo: float, hi: float,
-                      n: int = N_NODES, extra=()):
-    """Kink-aware composite Gauss-Legendre on [lo, hi].
-
-    The nodes are n uniform points plus every kink of kappa and rho and every
-    extra temperature strictly inside; returns them with the 8-point GL
-    integral of f (a function of a temperature array) over each segment
-    between consecutive nodes, all in one array pass.
-    """
+def segment_nodes(pair: MaterialPair, lo: float, hi: float, n: int = N_NODES,
+                  extra=()) -> np.ndarray:
+    """n uniform points on [lo, hi] plus every kink of kappa and rho and
+    every extra temperature strictly inside, sorted."""
     pts = np.array([*pair.kappa.kinks(), *pair.rho.kinks(), *np.ravel(extra)],
                    dtype=float)
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, n),
+    return np.unique(np.concatenate([np.linspace(lo, hi, n),
                                      pts[(lo < pts) & (pts < hi)]]))
+
+
+def segment_integrals(f, grid: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """8-point Gauss-Legendre integral of f (a function of a temperature
+    array) over the segments of grid that rows selects, in one array pass.
+    The sums take one product with a row per segment (zero outside rows), as
+    BLAS may order a row's sum by the row count: the bits do not hang on rows."""
     nodes, weights = _gauss_legendre(_GL_ORDER)
-    half = 0.5 * np.diff(grid)
-    T = half[:, None] * nodes + (0.5 * (grid[:-1] + grid[1:]))[:, None]
-    return grid, half * (f(T) @ weights)
+    a, b = grid[:-1][rows], grid[1:][rows]
+    half = 0.5 * (b - a)
+    f_nodes = np.zeros((grid.size - 1, _GL_ORDER))
+    f_nodes[rows] = f(half[:, None] * nodes + (0.5 * (a + b))[:, None])
+    return half * (f_nodes @ weights)[rows]
 
 
 def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float) -> float:
     """Coupling integral r = \\int_{T_lo}^{T_hi} rho(T) kappa(T) dT (>= 0).
 
-    The pairwise sum of segment_integrals over N_NODES uniform nodes plus the
+    The pairwise sum of segment_integrals on N_NODES uniform nodes plus the
     kinks; the pairwise sum keeps the rounding near one ulp of r.
     """
     if not (T_lo <= T_hi and math.isfinite(T_hi - T_lo)):
@@ -455,4 +459,5 @@ def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float) -> float:
         )
     if T_lo == T_hi:
         return 0.0
-    return float(np.sum(segment_integrals(pair, pair.rho_kappa, T_lo, T_hi)[1]))
+    return float(np.sum(segment_integrals(pair.rho_kappa,
+                                          segment_nodes(pair, T_lo, T_hi))))

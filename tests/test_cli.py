@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tegsolve import cli, io
+from tegsolve import cli, io, loadmode
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -364,3 +364,57 @@ def test_bundled_configs_parse():
     for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
         cfg = io.load_config(cfg_path)
         assert Path(cfg.material_file).exists(), cfg_path
+
+
+@pytest.mark.parametrize("command,overrides,key", [
+    ("report", {"tolerances": {"sweep_n": 2.9}}, "sweep_n"),
+    ("report", {"tolerances": {"sweep_n": True}}, "sweep_n"),
+    ("solve", {"tolerances": {"n_out": 1.5}}, "n_out"),
+    ("solve", {"tolerances": {"n_out": True}}, "n_out"),
+    ("sweep", {"mode": {"type": "sweep", "gamma_min": 0.0, "gamma_max": 2.0,
+                        "n": 2.9}}, "'n'"),
+    ("sweep", {"mode": {"type": "sweep", "gamma_min": 0.0, "gamma_max": 2.0,
+                        "n": True}}, "'n'"),
+], ids=["sweep_n_fraction", "sweep_n_bool", "n_out_fraction", "n_out_bool",
+        "sweep_mode_n_fraction", "sweep_mode_n_bool"])
+def test_count_that_is_not_a_whole_number_exit_code_and_record(
+        tmp_path, capsys, command, overrides, key):
+    # int() would truncate 2.9 to 2 and take True as 1
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert key in record["message"] and "whole number" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_whole_float_count_is_accepted(tmp_path, capsys):
+    cfg = _write_config(tmp_path, tolerances={"n_out": 8.0, "sweep_n": 3.0})
+    assert cli.main(["solve", "--config", str(cfg), "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert dumped["tolerances"] == {"n_out": 8, "sweep_n": 3}
+
+
+def test_one_parser_serves_consecutive_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = _write_config(
+        tmp_path,
+        material_file=str(CONFIG_DIR / "materials" / "clamped_three_solutions.json"),
+        mode={"type": "multiplicity", "R_load": 8.0},
+    )
+    assert cli.main(["multiplicity", "--config", str(cfg), "--scan-samples", "77",
+                     "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"] == {"scan_samples": 77}
+    # no override: the next call scans at the default resolution
+    assert cli.main(["multiplicity", "--config", str(cfg)]) == 0
+    h_curve = (tmp_path / "out" / "h_curve.csv").read_text().splitlines()
+    assert len(h_curve) == 1 + loadmode.SCAN_SAMPLES
+    sweep = _write_config(tmp_path, name="sweep.json", output_dir=str(tmp_path / "s"),
+                          mode={"type": "sweep", "gamma_min": 0.0,
+                                "gamma_max": 2.0, "n": 3})
+    ratio = _write_config(tmp_path, name="ratio.json", output_dir=str(tmp_path / "r"))
+    assert cli.main(["sweep", "--config", str(sweep)]) == 0
+    assert cli.main(["solve", "--config", str(ratio)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("solve: ok")
+    assert (tmp_path / "r" / "solution.csv").exists()
+    assert not (tmp_path / "r" / "sweep.csv").exists()

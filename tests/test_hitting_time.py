@@ -4,6 +4,7 @@ and the Gauss-Legendre W grid against per-segment adaptive quadrature."""
 import ast
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,13 @@ from scipy.integrate import quad_vec
 from scipy.interpolate import CubicHermiteSpline
 
 import tegsolve as tg
-from tegsolve import ivp, loadmode
+from tegsolve import ivp, loadmode, materials
 
 import oracles
 from helpers import make_model, random_spec, three_solution_problem, two_solution_problem
 
 REL = 1e-13  # summation order differs from the loop; the arithmetic does not
+TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
 
@@ -61,6 +63,7 @@ def test_array_y_c_matches_scalar_loop_on_all_family_pairs():
         # a coarse W^-1 grid keeps the quad-fallback builds cheap; both routes
         # read the same grid, so the comparison is unaffected
         q = tg.HittingTimeQuadrature(spec, n_base=257)
+        q._ensure(TINY)  # the rest of the first block: the grid reaches T_h + 2 dT
         W_top = float(q._grid_W[-1])
         s = math.sqrt(2.0 * spec.rk)
         big = math.sqrt(3.0 * W_top)  # theta^2 / 2 = 1.5 W_top: extends the grid
@@ -195,6 +198,7 @@ def test_w_grid_build_makes_no_quad_call(kap_fam, rho_fam, monkeypatch):
     monkeypatch.setattr(scipy.integrate, "quad", no_quad)
     assert spec.rk > 0 and spec.u_h > T_c  # r and K take the same GL pass
     q = tg.HittingTimeQuadrature(spec)
+    q._ensure(TINY)
     assert q._grid_T.size >= q.n_base
 
 
@@ -241,6 +245,7 @@ def test_converging_coupling_integral_raises_numerical_blowup():
     # reciprocal kappa x reciprocal rho: W stops growing before theta^2 / 2
     spec = _spec_at(3, 9)
     q = tg.HittingTimeQuadrature(spec)
+    q._ensure(TINY)
     grid = q._grid_T
     with pytest.raises(tg.NumericalBlowup):
         q.y_c(4.0 * math.sqrt(2.0 * spec.rk))
@@ -316,3 +321,86 @@ def test_materialize_where_mirrored_panels_get_no_sub_interval():
     sol = q.materialize(5e-324, gamma=1.0)
     np.testing.assert_array_equal(sol.T, T_want)
     assert sol.y_c == y_c_want
+
+
+def eager_first_block(q):
+    """Nodes and W of q's whole first block [T_c, T_h + 2 dT] in one pass,
+    as the grid was built before it grew on demand: one running sum from
+    T_c, anchored at W(T_h) = 0."""
+    spec = q.spec
+    grid = materials.segment_nodes(spec.pair, spec.T_c, q._T_top, q.n_base,
+                                   extra=(spec.T_h,))
+    seg = materials.segment_integrals(spec.pair.rho_kappa, grid)
+    W = np.concatenate([[0.0], np.cumsum(seg)])
+    return grid, W - W[int(np.searchsorted(grid, spec.T_h))]
+
+
+def test_w_grid_reaches_above_T_h_only_for_positive_theta(monkeypatch):
+    built = []
+
+    class Recorded(ivp.HittingTimeQuadrature):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(ivp, "HittingTimeQuadrature", Recorded)
+    rng = np.random.default_rng(71)
+    for idx in range(14):  # every kappa family and every rho family
+        spec = random_spec(rng, idx)
+        gamma = next(g for g in (0.25, 1.0, 4.0, 16.0)
+                     if tg.matched_initial_slope(spec, g) <= 0)
+        sol = tg.solve_ratio_mode(spec, gamma)
+        q = built[-1]
+        # theta <= 0: the trajectory stays at or below T_h, and so does the grid
+        assert q._grid_T[-1] == spec.T_h == sol.T[0], idx
+        prefix_T, prefix_W = q._grid_T, q._grid_W
+        q.y_c(0.01 * math.sqrt(2.0 * spec.rk))
+        # the first theta > 0 appends the rest of the first block, bit for bit
+        grid, W = eager_first_block(q)
+        np.testing.assert_array_equal(q._grid_T, grid, err_msg=str(idx))
+        np.testing.assert_array_equal(q._grid_W, W, err_msg=str(idx))
+        np.testing.assert_array_equal(q._grid_W[:prefix_W.size], prefix_W)
+        assert prefix_T.size < grid.size
+
+
+def _stall_above_T_h():
+    # kappa = 3 - T: W stops growing at 3 K, inside the first block's rest
+    pair = tg.MaterialPair(kappa=tg.linear(a=-1.0, b=3.0), rho=tg.constant(1.0),
+                           alpha0=0.5)
+    return tg.GeneratorSpec(pair=pair, T_h=2.5, T_c=1.0), 1.0, 0.45
+
+
+def _converging():
+    # reciprocal kappa x reciprocal rho: W converges, the appended blocks run out
+    spec = _spec_at(3, 9)
+    s = math.sqrt(2.0 * spec.rk)
+    return spec, 4.0 * s, 0.5 * s
+
+
+@pytest.mark.parametrize("case", [_stall_above_T_h, _converging],
+                         ids=["stall_in_first_block", "converging"])
+def test_failed_extension_leaves_the_quadrature_unchanged(case):
+    spec, too_far, reachable = case()
+    q = tg.HittingTimeQuadrature(spec)
+    before = dict(vars(q))
+    with pytest.raises(tg.NumericalBlowup):
+        q.y_c(too_far)
+    assert vars(q).keys() == before.keys()
+    assert all(vars(q)[k] is v for k, v in before.items())
+    # the first block's rest is still there for a theta it can serve
+    assert q.y_c(reachable) > 0
+    assert q._grid_T[-1] > spec.T_h
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-160, 1e-8])
+def test_materialize_at_tiny_positive_theta(theta):
+    # the [0, theta] sub-interval adds a y step far below an ulp of y_c; as a
+    # knot of the w(y) spline its divided differences overflowed to T[0] = NaN
+    pair = tg.MaterialPair(kappa=tg.constant(1e3), rho=tg.constant(1e3), alpha0=1.0)
+    spec = tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = tg.HittingTimeQuadrature(spec).materialize(theta, gamma=1.0)
+    assert np.all(np.isfinite(sol.T)) and np.all(np.isfinite(sol.q))
+    assert sol.T[0] == spec.T_h
+    assert abs(sol.T[-1] - spec.T_c) <= 1e-14

@@ -1,6 +1,8 @@
 """Fixed-load-resistance constraint H(theta) and root enumeration."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -221,3 +223,17 @@ def test_construct_nonunique_example_validation():
     with pytest.raises(InvalidMaterial):
         tg.construct_nonunique_example(tg.constant(1.0), T_h=2.0, T_c=1.0,
                                        rho_h=2.0, load_over_rho=3.0)
+
+
+def test_enumeration_leaves_no_reference_cycle_to_the_problem():
+    # brentq's wrapper is a reference cycle; a closure over the problem in it
+    # kept the problem and its W^-1 grid alive until a gc pass
+    prob = three_solution_problem()
+    alive = weakref.ref(prob._quadrature)
+    gc.disable()
+    try:
+        assert len(tg.enumerate_solutions(prob).roots) == 3
+        del prob
+        assert alive() is None
+    finally:
+        gc.enable()
