@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigError, InvalidMaterial
-from .materials import MaterialPair, from_fields, pair_from_json, reject_unknown
+from .materials import (MaterialPair, from_fields, number, pair_from_json,
+                        reject_unknown)
 
 # each mode type and its own fields, besides "type"; sweep's n is a count
 MODE_FIELDS = {
@@ -87,13 +88,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _count(key: str, v) -> int:
-    """v as a count; a bool or a fraction (int() would truncate) names key."""
-    _require(not isinstance(v, bool) and float(v).is_integer(),
-             f"{key} must be a whole number, got {v!r}")
-    return int(v)
-
-
 def config_from_dict(data: dict) -> RunConfig:
     d = from_fields(RunConfig, data, "the config", ConfigError)
     mode = d["mode"]
@@ -111,14 +105,13 @@ def config_from_dict(data: dict) -> RunConfig:
              "'tolerances.tol_ode' no longer applies: profiles come from the "
              "phase-space quadrature, which integrates no ODE")
     reject_unknown("'tolerances'", tol, TOLERANCES, ConfigError)
-    try:
-        d["mode"] = {k: v if k == "type" else _count(f"{mtype} mode's {k!r}", v)
-                     if k == "n" else float(v) for k, v in mode.items()}
-        d["tolerances"] = {k: _count(f"'tolerances.{k}'", v) if TOLERANCES[k] is int
-                           else float(v) for k, v in tol.items()}
-        cfg = RunConfig(**{k: _FIELD_TYPES[k](v) for k, v in d.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config has a non-numeric field: {exc}") from exc
+    d["mode"] = {k: v if k == "type" else number(f"{mtype} mode's {k!r}", v,
+                                                 ConfigError, whole=k == "n")
+                 for k, v in mode.items()}
+    d["tolerances"] = {k: number(f"'tolerances.{k}'", v, ConfigError,
+                                 whole=TOLERANCES[k] is int) for k, v in tol.items()}
+    cfg = RunConfig(**{k: number(repr(k), v, ConfigError) if _FIELD_TYPES[k] is float
+                       else _FIELD_TYPES[k](v) for k, v in d.items()})
     m = cfg.mode
     if mtype == "ratio":
         _require(m["gamma"] >= 0, "ratio mode needs gamma >= 0")

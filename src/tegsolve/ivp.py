@@ -222,6 +222,9 @@ class HittingTimeQuadrature:
                  n_base: int = 8193):
         if spec.delta_T <= 0:
             raise DegenerateError("hitting-time quadrature needs T_h > T_c")
+        for name, value, least in (("n_base", n_base, 2), ("gl_order", gl_order, 1)):
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}, got {value}")
         self.spec = spec
         self.gl_order = gl_order
         self.n_base = n_base

@@ -99,7 +99,10 @@ class RootRecord:
 
 @dataclass(frozen=True, eq=False)
 class ScanDiagnostics:
-    """Bracketing record of the H scan (also feeds the H-curve export)."""
+    """Bracketing record of the H scan (also feeds the H-curve export).
+
+    n_tangency_candidates counts the grid extrema that passed the tangency
+    screen, merged_roots the sign-change cells that a tangency owns."""
 
     theta_lo: float
     theta_hi: float
@@ -134,11 +137,16 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
                         n_out: int = N_OUT) -> SolutionSet:
     """Find all solutions of H(theta) = |V| at the given scan resolution.
 
-    Sign changes on a uniform theta grid are refined by Brent's method to
-    |H - |V|| <= tol_root; stationary points that touch the level within
-    TOL_TANGENCY are reported as single flagged (tangency) roots.  Raises
-    DomainError for scan_samples < 2 and ScanIncomplete when no bracket
-    exists anywhere in the scan window.
+    g = H - |V| is sampled once on a uniform theta grid.  A grid extremum
+    whose neighbours lie on one side of the level (else it sits beside a
+    lone crossing), within one cell's rise of the level (within TOL_TANGENCY
+    if it lies across, else its crossing pair is two roots), is refined by
+    minimising g^2 between the neighbours.  If |g| <= TOL_TANGENCY there, it
+    is a flagged (tangency) root that owns its run of grid points with
+    |g| <= TOL_TANGENCY plus one on each side.  Each sign change it does not
+    own is a simple root, refined by Brent's method to |g| <= tol_root (a
+    note records one that stays above).  Raises DomainError for scan_samples
+    < 2 and ScanIncomplete when no bracket exists in the scan window.
     """
     spec = prob.spec
     if spec.V == 0:
@@ -164,95 +172,49 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
 
     grid = np.linspace(theta_lo, theta_hi, scan_samples)
     gv = g(grid)  # one array pass
-    dtheta = grid[1] - grid[0]
+    dg = np.diff(gv)
+    negative = np.signbit(gv)  # an exact zero counts as positive
 
     notes: list[str] = []
     found: list[tuple[float, bool, float]] = []  # (theta, tangency, |residual|)
+    ext = np.flatnonzero(dg[:-1] * dg[1:] < 0.0) + 1
+    rise = np.where(negative[ext] == negative[ext - 1],
+                    np.maximum(np.abs(dg[ext - 1]), np.abs(dg[ext])), 0.0)
+    candidates = ext[(np.abs(gv[ext]) <= rise + TOL_TANGENCY)
+                     & (negative[ext - 1] == negative[ext + 1])]
+    far = np.r_[0, np.flatnonzero(np.abs(gv) > TOL_TANGENCY), scan_samples - 1]
+    owned = np.zeros(scan_samples, dtype=bool)
+    for i in candidates:
+        res = minimize_scalar(lambda t: g(t) ** 2,
+                              bounds=(float(grid[i - 1]), float(grid[i + 1])),
+                              method="bounded", options={"xatol": 1e-12})
+        th = float(res.x)
+        val = abs(g(th))
+        if val <= TOL_TANGENCY:
+            found.append((th, True, val))
+            lo, hi = np.searchsorted(far, i), np.searchsorted(far, i, side="right")
+            owned[far[lo - 1]:far[hi] + 1] = True
 
-    # simple roots from sign changes
-    sign_change_cells = set()
-    n_sign = 0
-    for i in range(scan_samples - 1):
-        a, b = float(gv[i]), float(gv[i + 1])
-        if a == 0.0:
-            found.append((float(grid[i]), False, 0.0))
-            sign_change_cells.add(i)
-            n_sign += 1
-            continue
-        if a * b < 0.0:
-            # prob goes in args: brentq's wrapper is a reference cycle, and a
-            # closure over prob would keep its quadrature until a gc pass
-            th = brentq(lambda t, p: H_of_theta(p, t) - target, float(grid[i]),
-                        float(grid[i + 1]), args=(prob,),
-                        xtol=1e-13 * max(1.0, abs(grid[i]) + abs(grid[i + 1])),
-                        rtol=4 * np.finfo(float).eps, maxiter=200)
-            res = g(th)
-            for _ in range(5):  # secant polish if H is extremely steep here
-                if abs(res) <= tol_root:
-                    break
-                step = 1e-9 * max(1.0, abs(th))
-                slope = (g(th + step) - res) / step
-                if slope == 0.0:
-                    break
-                th -= res / slope
-                res = g(th)
-            if abs(res) > tol_root:
-                notes.append(f"root at theta={th:.6g} stuck at residual {res:.3e}")
-            found.append((float(th), False, abs(res)))
-            sign_change_cells.add(i)
-            n_sign += 1
-    if float(gv[-1]) == 0.0:
-        found.append((float(grid[-1]), False, 0.0))
-        n_sign += 1
-
-    # tangency candidates: interior local minima of |g| away from brackets
-    screen = max(1e-4 * max(1.0, target), TOL_TANGENCY)
-    n_cand = 0
-    for i in range(1, scan_samples - 1):
-        if i in sign_change_cells or (i - 1) in sign_change_cells:
-            continue
-        ai, am, ap = abs(float(gv[i - 1])), abs(float(gv[i])), abs(float(gv[i + 1]))
-        if am < ai and am <= ap and am <= screen:
-            n_cand += 1
-            res = minimize_scalar(lambda t: g(t) ** 2,
-                                  bounds=(float(grid[i - 1]), float(grid[i + 1])),
-                                  method="bounded",
-                                  options={"xatol": 1e-12})
-            th = float(res.x)
-            val = abs(g(th))
-            if val <= TOL_TANGENCY:
-                found.append((th, True, val))
-
-    # sort and merge near-duplicates (tangencies seen as a close crossing pair)
-    found.sort(key=lambda t: t[0])
-    merged = 0
-    roots: list[tuple[float, bool, float]] = []
-    for th, tang, res in found:
-        if roots:
-            prev_th, prev_tang, prev_res = roots[-1]
-            gap = th - prev_th
-            if gap <= 10.0 * tol_root:
-                roots[-1] = (0.5 * (prev_th + th), prev_tang or tang,
-                             max(prev_res, res))
-                merged += 1
-                notes.append(f"merged roots {prev_th:.9g} and {th:.9g}")
-                continue
-            if not (prev_tang or tang) and gap <= 2.0 * dtheta:
-                mid = 0.5 * (prev_th + th)
-                if abs(g(mid)) <= TOL_TANGENCY:
-                    roots[-1] = (mid, True, abs(g(mid)))
-                    merged += 1
-                    notes.append(
-                        f"crossing pair at theta~{mid:.6g} collapsed to a tangency"
-                    )
-                    continue
-        roots.append((th, tang, res))
+    cells = np.flatnonzero(negative[:-1] != negative[1:])
+    merged = owned[cells] & owned[cells + 1]
+    for i in cells[~merged]:
+        # prob goes in args: brentq's wrapper is a reference cycle, and a
+        # closure over prob would keep its quadrature until a gc pass
+        th = brentq(lambda t, p: H_of_theta(p, t) - target, float(grid[i]),
+                    float(grid[i + 1]), args=(prob,),
+                    xtol=1e-13 * max(1.0, abs(grid[i]) + abs(grid[i + 1])),
+                    rtol=4 * np.finfo(float).eps, maxiter=200)
+        res = g(th)
+        if abs(res) > tol_root:
+            notes.append(f"root at theta={th:.6g} stuck at residual {res:.3e}")
+        found.append((th, False, abs(res)))
+    roots = sorted(found, key=lambda t: t[0])
 
     diagnostics = ScanDiagnostics(
         theta_lo=float(theta_lo), theta_hi=float(theta_hi),
         n_samples=scan_samples, theta_grid=grid, H_values=gv + target,
-        n_sign_changes=n_sign, n_tangency_candidates=n_cand,
-        merged_roots=merged, floor_hit=floor_hit, notes=tuple(notes),
+        n_sign_changes=cells.size, n_tangency_candidates=candidates.size,
+        merged_roots=int(merged.sum()), floor_hit=floor_hit, notes=tuple(notes),
     )
     if not roots:
         raise ScanIncomplete(

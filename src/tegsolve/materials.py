@@ -21,6 +21,7 @@ takes the same route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from typing import ClassVar
@@ -301,6 +302,18 @@ def from_fields(cls, d, where: str, error=InvalidMaterial, extra=(),
     return {f.name: d[f.name] for f in fs if f.name in d}
 
 
+def number(key: str, v, error=InvalidMaterial, whole: bool = False):
+    """v as a float (an int if whole); error naming key unless v is a real
+    number in the float range, and whole if whole.  A bool or a string is not."""
+    try:
+        x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else None
+    except OverflowError:  # an int beyond the float range
+        x = None
+    if x is None or whole and not x.is_integer():
+        raise error(f"{key} must be a {'whole ' if whole else ''}number, got {v!r}")
+    return int(x) if whole else x
+
+
 def model_from_json(d: dict) -> PropertyModel:
     """Build a PropertyModel from its JSON dict form: "family" plus the
     family's fields (domain_low optional, null meaning the default)."""
@@ -313,11 +326,13 @@ def model_from_json(d: dict) -> PropertyModel:
         )
     kwargs = from_fields(_FAMILIES[fam], d, f"the {fam} family", extra=("family",),
                          skip=("partner",))
+    if kwargs.get("domain_low") is None:
+        kwargs.pop("domain_low", None)
     try:
-        if kwargs.get("domain_low") is None:
-            kwargs.pop("domain_low", None)
-        else:
-            kwargs["domain_low"] = float(kwargs["domain_low"])
+        for k, v in kwargs.items():
+            key = f"the {fam} family's {k!r}"
+            kwargs[k] = ([[number(key, x) for x in knot] for knot in v]
+                         if k == "knots" else number(key, v))
         return _FAMILIES[fam](**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidMaterial(f"bad parameters for family {fam!r}: {exc}") from exc
@@ -404,14 +419,10 @@ class MaterialPair:
 def pair_from_json(d: dict) -> MaterialPair:
     """Build a MaterialPair from its JSON form: kappa, rho and alpha0."""
     kwargs = from_fields(MaterialPair, d, "the material definition")
-    try:
-        alpha0 = float(kwargs["alpha0"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidMaterial(f"alpha0 must be a number: {exc}") from exc
     return MaterialPair(
         kappa=model_from_json(kwargs["kappa"]),
         rho=model_from_json(kwargs["rho"]),
-        alpha0=alpha0,
+        alpha0=number("'alpha0'", kwargs["alpha0"]),
     )
 
 

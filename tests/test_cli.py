@@ -157,6 +157,47 @@ def test_non_numeric_mode_field_exit_code_and_record(tmp_path, capsys, mode):
     assert record["error"] == "ConfigError"
     assert record["exit_code"] == cli.EXIT_CONFIG
 
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"T_h": "2"}, "'T_h'"),
+    ({"T_h": True}, "'T_h'"),
+    ({"mode": {"type": "ratio", "gamma": "1.5"}}, "'gamma'"),
+    ({"mode": {"type": "ratio", "gamma": True}}, "'gamma'"),
+    ({"tolerances": {"tol_root": "1e-9"}}, "'tolerances.tol_root'"),
+    ({"tolerances": {"n_out": "4"}}, "'tolerances.n_out'"),
+], ids=["T_h_text", "T_h_bool", "gamma_text", "gamma_bool", "tol_root_text",
+        "n_out_text"])
+def test_config_number_given_as_text_or_bool_exit_code_and_record(
+        tmp_path, capsys, overrides, key):
+    # float() would read "2" as 2.0 and True as 1.0
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert key in record["message"] and "number" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kappa, alpha0, key", [
+    ({"family": "constant", "c": 1.0}, "2", "'alpha0'"),
+    ({"family": "constant", "c": 1.0}, True, "'alpha0'"),
+    ({"family": "constant", "c": 1.0, "domain_low": "0.5"}, 1.0, "'domain_low'"),
+    ({"family": "constant", "c": True}, 1.0, "'c'"),
+    ({"family": "table", "knots": [[1.0, 1.0], [2.0, True]]}, 1.0, "'knots'"),
+], ids=["alpha0_text", "alpha0_bool", "domain_low_text", "c_bool", "knot_bool"])
+def test_material_number_given_as_text_or_bool_exit_code_and_record(
+        tmp_path, capsys, kappa, alpha0, key):
+    mat = tmp_path / "material.json"
+    mat.write_text(json.dumps({"kappa": kappa, "rho": {"family": "constant", "c": 1.0},
+                               "alpha0": alpha0}))
+    cfg = _write_config(tmp_path, material_file=str(mat))
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_MATERIAL
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "InvalidMaterial"
+    assert key in record["message"] and "number" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_scan_samples_below_two_exit_code_and_record(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

@@ -17,7 +17,8 @@ import tegsolve as tg
 from tegsolve import ivp, loadmode, materials
 
 import oracles
-from helpers import make_model, random_spec, three_solution_problem, two_solution_problem
+from helpers import (make_model, random_spec, three_solution_problem,
+                     two_solution_problem, unit_spec)
 
 REL = 1e-13  # summation order differs from the loop; the arithmetic does not
 TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
@@ -404,3 +405,19 @@ def test_materialize_at_tiny_positive_theta(theta):
     assert np.all(np.isfinite(sol.T)) and np.all(np.isfinite(sol.q))
     assert sol.T[0] == spec.T_h
     assert abs(sol.T[-1] - spec.T_c) <= 1e-14
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_base": 0}, "n_base"), ({"n_base": 1}, "n_base"), ({"n_base": -5}, "n_base"),
+    ({"gl_order": 0}, "gl_order"), ({"gl_order": -1}, "gl_order"),
+])
+def test_grid_and_order_below_their_least_raise_domain_error(kwargs, name):
+    with pytest.raises(tg.DomainError, match=f"^{name} must be >= "):
+        tg.HittingTimeQuadrature(unit_spec(), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_base": 2}, {"gl_order": 1}])
+def test_least_grid_and_order_are_accepted(kwargs):
+    q = tg.HittingTimeQuadrature(unit_spec(), **kwargs)
+    # unit leg: rho = 1, so y_c(theta <= 0) = I(theta) exactly
+    assert q.y_c(-0.5) == pytest.approx(tg.shooting_function(q.spec, -0.5), rel=1e-12)

@@ -134,6 +134,33 @@ def test_two_solution_enumeration_flags_tangency():
     assert tangent.R_total == pytest.approx(11.69, abs=0.01)
 
 
+@pytest.mark.parametrize("scan_samples", [2124, 2697, 2899])
+def test_crossing_pair_at_the_tangency_is_one_flagged_root(scan_samples):
+    # at these resolutions a grid node falls inside the quadrature H's dip
+    # (~1.5e-5 wide, 2.7e-11 deep) below |V| at the tangency, so the scan
+    # sees two sign changes there; the tangency owns both
+    prob, th_stationary = two_solution_problem()
+    res = tg.enumerate_solutions(prob, scan_samples=scan_samples)
+    assert [r.tangency for r in res.roots] == [False, True]
+    assert res.roots[1].theta == pytest.approx(th_stationary, abs=1e-4)
+    d = res.scan_diagnostics
+    assert d.notes == ()
+    assert d.merged_roots == 2
+
+
+@pytest.mark.parametrize("scan_samples", [33, 100])
+def test_simple_root_beside_a_grid_extremum_is_not_a_tangency(scan_samples):
+    # on these grids a grid extremum of H sits beside a lone crossing (its
+    # neighbours on opposite sides of the level) or between the two
+    # crossings of a dip far deeper than TOL_TANGENCY; g^2 vanishes in its
+    # bracket either way, but the roots are simple
+    res = tg.enumerate_solutions(three_solution_problem(), scan_samples=scan_samples)
+    assert [r.tangency for r in res.roots] == [False, False, False]
+    for got, want in zip(res.roots, (0.4024794362, math.sqrt(3.0) / 2.0, 1.4827090416)):
+        assert got.theta == pytest.approx(want, abs=1e-9)
+        assert got.H_residual <= tg.loadmode.TOL_ROOT
+
+
 def test_constant_rho_single_root():
     spec = unit_spec()
     prob = tg.LoadResistanceProblem(spec=spec, R_load=0.05)
