@@ -79,7 +79,7 @@ def _write_solution(outdir: Path, stem: str, sol: ivp.TemperatureSolution,
 def _enumerate(cfg: io.RunConfig, spec: GeneratorSpec) -> loadmode.SolutionSet:
     prob = loadmode.LoadResistanceProblem(spec=spec, R_load=cfg.mode["R_load"])
     return loadmode.enumerate_solutions(
-        prob, **_given(cfg, "scan_samples", "tol_root", "n_out"))
+        prob, **_given(cfg, "scan_samples", "n_out"))
 
 
 def _write_multiplicity(outdir: Path, result: loadmode.SolutionSet,
@@ -98,21 +98,16 @@ def _write_multiplicity(outdir: Path, result: loadmode.SolutionSet,
 
 def cmd_solve(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    mtype = cfg.mode["type"]
-    if mtype == "ratio":
+    if cfg.mode["type"] == "ratio":
         sol = ivp.solve_ratio_mode(spec, cfg.mode["gamma"], **_given(cfg, "n_out"))
         _write_solution(outdir, "solution", sol, spec)
-    elif mtype == "resistance":
+    else:
         result = _enumerate(cfg, spec)
         _write_multiplicity(outdir, result, spec, with_curve=False)
-    else:
-        raise ConfigError(f"solve expects a ratio or resistance mode, got {mtype!r}")
 
 
 def cmd_report(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     gamma = cfg.mode.get("gamma") if cfg.mode.get("type") == "ratio" else None
     report = analytic.performance_report(spec, gamma)
     io.write_json(outdir / "report.json", report.to_json())
@@ -124,10 +119,7 @@ def cmd_report(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
 
 
 def cmd_sweep(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
-    if cfg.mode["type"] != "sweep":
-        raise ConfigError("sweep expects a sweep mode config")
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     opts = _given(cfg, "n_out")
     gammas = np.linspace(cfg.mode["gamma_min"], cfg.mode["gamma_max"],
                          int(cfg.mode["n"]))
@@ -152,10 +144,7 @@ def cmd_sweep(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
 
 
 def cmd_multiplicity(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
-    if cfg.mode["type"] != "multiplicity":
-        raise ConfigError("multiplicity expects a multiplicity mode config")
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     result = _enumerate(cfg, spec)
     _write_multiplicity(outdir, result, spec, with_curve=True)
 
@@ -166,6 +155,9 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "multiplicity": cmd_multiplicity,
 }
+# the mode types each command serves
+_MODES = {"solve": ("ratio", "resistance"), "report": tuple(io.MODE_FIELDS),
+          "sweep": ("sweep",), "multiplicity": ("multiplicity",)}
 
 
 @functools.cache
@@ -225,6 +217,10 @@ def _run(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(json.dumps(cfg.to_json(), indent=2, sort_keys=True))
         return EXIT_OK
+    if cfg.mode["type"] not in _MODES[args.command]:
+        return _error_record(ConfigError(
+            f"{args.command} expects a {' or '.join(_MODES[args.command])} "
+            f"mode, got {cfg.mode['type']!r}"), EXIT_CONFIG)
 
     try:
         spec = _build_spec(cfg)
@@ -233,9 +229,8 @@ def _run(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](cfg, spec)
-    except ConfigError as exc:
-        return _error_record(exc, EXIT_CONFIG)
     except TegError as exc:
         return _error_record(exc, EXIT_SOLVER)
     except OSError as exc:

@@ -25,8 +25,8 @@ MODE_FIELDS = {
 }
 # each tolerance and its type; a tolerance a config leaves out keeps the
 # default of the routine it goes to
-TOLERANCES = {"scan_samples": int, "n_out": int, "tol_root": float,
-              "sweep_gamma_max": float, "sweep_n": int}
+TOLERANCES = {"scan_samples": int, "n_out": int, "sweep_gamma_max": float,
+              "sweep_n": int}
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -110,8 +110,11 @@ def config_from_dict(data: dict) -> RunConfig:
                  for k, v in mode.items()}
     d["tolerances"] = {k: number(f"'tolerances.{k}'", v, ConfigError,
                                  whole=TOLERANCES[k] is int) for k, v in tol.items()}
+    for k in ("material_file", "output_dir"):
+        _require(isinstance(d.get(k, ""), str),
+                 f"{k!r} must be a string, got {d.get(k)!r}")
     cfg = RunConfig(**{k: number(repr(k), v, ConfigError) if _FIELD_TYPES[k] is float
-                       else _FIELD_TYPES[k](v) for k, v in d.items()})
+                       else v for k, v in d.items()})
     m = cfg.mode
     if mtype == "ratio":
         _require(m["gamma"] >= 0, "ratio mode needs gamma >= 0")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -42,6 +43,8 @@ TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
 _PROFILE_INTERVALS = 512  # GL sub-intervals in w behind one materialised profile
+_N_BASE = 8193     # uniform nodes per W^-1 grid block
+_GL_ORDER = 80     # Gauss-Legendre nodes per sub-interval in w
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +198,18 @@ def _stall_error(T: float) -> NumericalBlowup:
     )
 
 
+class _WTable(NamedTuple):
+    """Everything y_c reads of W^{-1}: published whole, never changed."""
+
+    T: np.ndarray            # nodes, kinks among them
+    W: np.ndarray            # W(T) - W(T_h) on the nodes
+    inv: CubicHermiteSpline  # T of W, constant above W[-1]
+    kink_q: list             # W-images of the rho/kappa kinks inside
+    stall: float | None      # the T where W stops growing, if met
+    top: float               # top of the last block
+    rest: np.ndarray | None  # the first block's nodes above T_h, not yet summed
+
+
 class HittingTimeQuadrature:
     """Hitting time y_c(theta) and steady states from the phase-space energy
     identity.
@@ -212,47 +227,40 @@ class HittingTimeQuadrature:
     8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
     every spline interval O(h^4).  The grid is built to T_h, as far as theta
-    <= 0 reaches; theta > 0 appends the rest of the first n_base-node block,
-    then further blocks, so nodes never move.  Where W stops growing above
-    T_h the grid ends, and only a theta that needs W beyond that end raises
-    NumericalBlowup.  materialize turns the same integrand into a profile.
+    <= 0 reaches; theta > 0 appends the rest of the first _N_BASE-node block,
+    then further blocks, so nodes never move; a block's W is the W at its
+    lower end (W(T_h) = 0 for the first block's rest) plus the running sum of
+    its segment integrals.  Where W stops growing above T_h the grid ends,
+    and only a theta that needs W beyond that end raises NumericalBlowup.
+    All of it is one _WTable, replaced whole by each extension.  materialize
+    turns the same integrand into a profile.
     """
 
-    def __init__(self, spec: GeneratorSpec, *, gl_order: int = 80,
-                 n_base: int = 8193):
+    def __init__(self, spec: GeneratorSpec):
         if spec.delta_T <= 0:
             raise DegenerateError("hitting-time quadrature needs T_h > T_c")
-        for name, value, least in (("n_base", n_base, 2), ("gl_order", gl_order, 1)):
-            if value < least:
-                raise DomainError(f"{name} must be >= {least}, got {value}")
         self.spec = spec
-        self.gl_order = gl_order
-        self.n_base = n_base
         self.r = spec.rk
-        self._T_top = spec.T_h + max(2.0 * spec.delta_T, 1e-3 * spec.T_h)
-        self._build()
+        self._table = self._build()
 
-    def _build(self):
-        """W(T) - W(T_h) on the first block's nodes up to T_h; the rest goes
-        on from the unanchored W(T_h), as one pass would sum it, in _ensure."""
+    def _build(self) -> _WTable:
+        """The first table: W on the first block's nodes up to T_h, the rest
+        of the block left for _reach."""
         spec = self.spec
-        grid = segment_nodes(spec.pair, spec.T_c, self._T_top, self.n_base,
-                             extra=(spec.T_h,))
+        top = spec.T_h + max(2.0 * spec.delta_T, 1e-3 * spec.T_h)
+        grid = segment_nodes(spec.pair, spec.T_c, top, _N_BASE, extra=(spec.T_h,))
         i_h = int(np.searchsorted(grid, spec.T_h))
-        self._grid_T, W, self._stall = self._w_block(grid, slice(0, i_h), 0.0, 0.0)
-        self._next = (grid, slice(i_h, grid.size - 1), W[-1], -W[-1])
-        self._grid_W = W - W[-1]
-        self._fit()
+        T, W, stall = self._w_block(grid[:i_h + 1], 0.0)
+        return self._fit(T, W - W[-1], stall, top, grid[i_h:])
 
-    def _w_block(self, grid, rows: slice, W_0: float, shift: float):
-        """The nodes of the segments rows of grid, W on them (the running sum
-        of their rho * kappa integrals from W_0, plus shift) and the T where W
-        stops growing, or None.  A stall ends the block at the last node where
-        rho * kappa > 0 before it; NumericalBlowup if that cuts off T_h."""
+    def _w_block(self, grid, W_0: float):
+        """The nodes of grid, W on them (W_0 plus the running sum of their
+        rho * kappa segment integrals) and the T where W stops growing, or None.
+        A stall ends the block at the last node where rho * kappa > 0 before
+        it; NumericalBlowup if that cuts off T_h."""
         pair = self.spec.pair
-        seg = segment_integrals(pair.rho_kappa, grid, rows)
-        grid = grid[rows.start:rows.stop + 1]
-        W = np.cumsum(np.concatenate([[W_0], seg])) + shift
+        seg = segment_integrals(pair.rho_kappa, grid)
+        W = W_0 + np.cumsum(np.concatenate([[0.0], seg]))
         stall = np.flatnonzero(~(np.diff(W) > 0))
         if not stall.size:
             return grid, W, None
@@ -263,42 +271,38 @@ class HittingTimeQuadrature:
             raise _stall_error(T_stall)
         return grid[:end], W[:end], T_stall
 
-    def _fit(self):
-        """Hermite spline of W^{-1}, constant above the top node so T(W[-1])
-        is exact as at inner nodes, and the W-images of the kinks."""
-        pair, grid, W = self.spec.pair, self._grid_T, self._grid_W
-        self._inv = CubicHermiteSpline(W, grid, 1.0 / pair.rho_kappa(grid),
-                                       extrapolate=False)
-        self._inv.extend(np.array([[0.0], [0.0], [0.0], [grid[-1]]]),
-                         [np.nextafter(W[-1], np.inf)])
+    def _fit(self, T, W, stall, top, rest) -> _WTable:
+        """The table on nodes T: a Hermite spline of W^{-1}, constant above the
+        top node so T(W[-1]) is exact, and the W-images of the kinks."""
+        pair = self.spec.pair
+        inv = CubicHermiteSpline(W, T, 1.0 / pair.rho_kappa(T), extrapolate=False)
+        inv.extend(np.array([[0.0], [0.0], [0.0], [T[-1]]]),
+                   [np.nextafter(W[-1], np.inf)])
         kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
-        self._kink_q = sorted({
-            float(W[int(np.searchsorted(grid, t))]) for t in kk
-            if grid[0] < t < grid[-1]
-        })
+        kink_q = sorted({float(W[int(np.searchsorted(T, t))]) for t in kk
+                         if T[0] < t < T[-1]})
+        return _WTable(T, W, inv, kink_q, stall, top, rest)
 
-    def _ensure(self, q_max: float):
-        """Append the first block's rest, then blocks, until W reaches q_max;
-        on failure nothing changes.  A q_max past a stall is a NumericalBlowup."""
-        T_top, grid, W, T_stall = self._T_top, self._grid_T, self._grid_W, self._stall
-        if W[-1] >= q_max:
-            return
-        block = self._next
+    def _reach(self, q_max: float) -> _WTable:
+        """The table, extended by the first block's rest, then blocks, until
+        W reaches q_max, and published; on failure nothing changes.  A q_max
+        past a stall is a NumericalBlowup."""
+        t = self._table
+        if not t.W[-1] < q_max:
+            return t
+        T, W, stall, top, block = t.T, t.W, t.stall, t.top, t.rest
         for _ in range(120):
-            if T_stall is not None:
-                raise _stall_error(T_stall)
+            if stall is not None:
+                raise _stall_error(stall)
             if block is None:
-                lo, T_top = T_top, self.spec.T_h + 2.0 * (T_top - self.spec.T_h)
-                g = segment_nodes(self.spec.pair, lo, T_top, self.n_base)
-                block = (g, slice(0, g.size - 1), 0.0, float(W[-1]))
-            g, w, T_stall = self._w_block(*block)
+                lo, top = top, self.spec.T_h + 2.0 * (top - self.spec.T_h)
+                block = segment_nodes(self.spec.pair, lo, top, _N_BASE)
+            g, w, stall = self._w_block(block, float(W[-1]))
             block = None
-            grid, W = np.concatenate([grid, g[1:]]), np.concatenate([W, w[1:]])
+            T, W = np.concatenate([T, g[1:]]), np.concatenate([W, w[1:]])
             if W[-1] >= q_max:
-                self._T_top, self._grid_T, self._grid_W = T_top, grid, W
-                self._stall, self._next = T_stall, None
-                self._fit()
-                return
+                self._table = t = self._fit(T, W, stall, top, None)
+                return t
         raise NumericalBlowup(
             "coupling integral does not cover the requested energy range; "
             "the divergence assumption on rho*kappa appears violated"
@@ -312,14 +316,13 @@ class HittingTimeQuadrature:
         top = flat.max(initial=0.0)
         if np.isnan(top):
             raise DomainError("y_c needs theta values that are not NaN")
-        if top > 0:
-            self._ensure(0.5 * top * top)
+        t = self._reach(0.5 * top * top)
         out = np.empty_like(flat)
         for i in range(0, flat.size, _Y_C_CHUNK):
-            out[i:i + _Y_C_CHUNK] = self._y_c_chunk(flat[i:i + _Y_C_CHUNK])
+            out[i:i + _Y_C_CHUNK] = self._y_c_chunk(t, flat[i:i + _Y_C_CHUNK])
         return _ret(out.reshape(theta.shape))
 
-    def _splits(self, theta: np.ndarray) -> np.ndarray:
+    def _splits(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """Panel ends per theta, sorted along axis 1: w_c, theta, w = 0 and
         -theta (theta > 0) and the w-images of rho/kappa kinks.  Absent split
         points are set to theta, so they become zero-width panels."""
@@ -329,7 +332,7 @@ class HittingTimeQuadrature:
             raise NumericalBlowup("theta^2 + 2r is not a finite float")
         up = theta > 0
         cols = [w_lo, theta, np.where(up, 0.0, theta), np.where(up, -theta, theta)]
-        for q_k in self._kink_q:
+        for q_k in t.kink_q:
             w2 = tt - 2.0 * q_k
             w_k = np.sqrt(np.maximum(w2, 0.0))
             for cand in (-w_k, w_k):
@@ -337,24 +340,24 @@ class HittingTimeQuadrature:
                 cols.append(np.where(inside, cand, theta))
         return np.sort(np.column_stack(cols), axis=1)
 
-    def _T_of_w(self, tt, w):
-        """T = W^{-1}((theta^2 - w^2) / 2) on the spline, tt = theta^2."""
-        return self._inv(np.clip(0.5 * (tt - w * w), self._grid_W[0], self._grid_W[-1]))
+    def _T_of_w(self, t: _WTable, tt, w):
+        """T = W^{-1}((theta^2 - w^2) / 2) on t's spline, tt = theta^2."""
+        return t.inv(np.clip(0.5 * (tt - w * w), t.W[0], t.W[-1]))
 
-    def _inv_rho_integrals(self, a, b, tt):
+    def _inv_rho_integrals(self, t: _WTable, a, b, tt):
         """Gauss-Legendre integral of 1 / rho(T(w)) over each [a, b]."""
-        nodes, weights = _gauss_legendre(self.gl_order)
+        nodes, weights = _gauss_legendre(_GL_ORDER)
         half = 0.5 * (b - a)
         w = half[:, None] * nodes + (0.5 * (a + b))[:, None]
-        inv_rho = 1.0 / self.spec.pair.rho.value(self._T_of_w(tt[:, None], w))
+        inv_rho = 1.0 / self.spec.pair.rho.value(self._T_of_w(t, tt[:, None], w))
         return half * (inv_rho @ weights)
 
-    def _y_c_chunk(self, theta: np.ndarray) -> np.ndarray:
+    def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """Panelwise GL integral of 1 / rho(T(w)) over [w_c, theta] per
         theta, on _subdivide(_splits(theta), 4), with [0, theta] counted
         twice in place of its mirror [-theta, 0]."""
-        owner, a, b = _unmirrored(theta, *_subdivide(self._splits(theta), 4))
-        seg = self._inv_rho_integrals(a, b, (theta * theta)[owner])
+        owner, a, b = _unmirrored(theta, *_subdivide(self._splits(t, theta), 4))
+        seg = self._inv_rho_integrals(t, a, b, (theta * theta)[owner])
         seg[a >= 0] *= 2.0
         return np.bincount(owner, weights=seg, minlength=theta.size)
 
@@ -372,12 +375,11 @@ class HittingTimeQuadrature:
         """
         spec = self.spec
         _check_n_out(n_out)
-        if theta > 0:
-            self._ensure(0.5 * theta * theta)
+        t = self._reach(0.5 * theta * theta if theta > 0 else 0.0)
         th = np.array([theta])
-        _, a, b = _unmirrored(th, *_subdivide(self._splits(th), _PROFILE_INTERVALS))
+        _, a, b = _unmirrored(th, *_subdivide(self._splits(t, th), _PROFILE_INTERVALS))
         tt = theta * theta
-        seg = self._inv_rho_integrals(a, b, np.full(a.size, tt))
+        seg = self._inv_rho_integrals(t, a, b, np.full(a.size, tt))
         # y(w) counted from the hot end, where w = theta
         y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
         w = np.append(a, theta)[::-1]
@@ -385,14 +387,14 @@ class HittingTimeQuadrature:
         if n:  # edges of [-theta, 0] by reflection: w = -v, y(-v) = 2 y(0) - y(v)
             w = np.concatenate([w[:n + 1], -w[n - 1::-1], w[n + 1:]])
             y = np.concatenate([y[:n + 1], 2.0 * y[n] - y[n - 1::-1], y[n] + y[n + 1:]])
-        slope = -spec.pair.rho.value(self._T_of_w(tt, w))
+        slope = -spec.pair.rho.value(self._T_of_w(t, tt, w))
         # the spline needs y increasing, and a step below an ulp of y_c only
         # adds divided differences that overflow: such a knot is dropped
         y_c = float(y[-1])
         keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y_c])
         w_out = CubicHermiteSpline(y[keep], w[keep], slope[keep])(
             np.linspace(0.0, y_c, n_out + 1))
-        T = self._T_of_w(tt, w_out)
+        T = self._T_of_w(t, tt, w_out)
 
         absJ = y_c / spec.L
         J = math.copysign(absJ, spec.V)

@@ -133,7 +133,6 @@ class SolutionSet:
 
 def enumerate_solutions(prob: LoadResistanceProblem, *,
                         scan_samples: int = SCAN_SAMPLES,
-                        tol_root: float = TOL_ROOT,
                         n_out: int = N_OUT) -> SolutionSet:
     """Find all solutions of H(theta) = |V| at the given scan resolution.
 
@@ -144,7 +143,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     minimising g^2 between the neighbours.  If |g| <= TOL_TANGENCY there, it
     is a flagged (tangency) root that owns its run of grid points with
     |g| <= TOL_TANGENCY plus one on each side.  Each sign change it does not
-    own is a simple root, refined by Brent's method to |g| <= tol_root (a
+    own is a simple root, refined by Brent's method to |g| <= TOL_ROOT (a
     note records one that stays above).  Raises DomainError for scan_samples
     < 2 and ScanIncomplete when no bracket exists in the scan window.
     """
@@ -205,7 +204,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
                     xtol=1e-13 * max(1.0, abs(grid[i]) + abs(grid[i + 1])),
                     rtol=4 * np.finfo(float).eps, maxiter=200)
         res = g(th)
-        if abs(res) > tol_root:
+        if abs(res) > TOL_ROOT:
             notes.append(f"root at theta={th:.6g} stuck at residual {res:.3e}")
         found.append((th, False, abs(res)))
     roots = sorted(found, key=lambda t: t[0])

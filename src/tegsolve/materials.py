@@ -442,17 +442,13 @@ def segment_nodes(pair: MaterialPair, lo: float, hi: float, n: int = N_NODES,
                                      pts[(lo < pts) & (pts < hi)]]))
 
 
-def segment_integrals(f, grid: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+def segment_integrals(f, grid: np.ndarray) -> np.ndarray:
     """8-point Gauss-Legendre integral of f (a function of a temperature
-    array) over the segments of grid that rows selects, in one array pass.
-    The sums take one product with a row per segment (zero outside rows), as
-    BLAS may order a row's sum by the row count: the bits do not hang on rows."""
+    array) over every segment of grid, in one array pass."""
     nodes, weights = _gauss_legendre(_GL_ORDER)
-    a, b = grid[:-1][rows], grid[1:][rows]
+    a, b = grid[:-1], grid[1:]
     half = 0.5 * (b - a)
-    f_nodes = np.zeros((grid.size - 1, _GL_ORDER))
-    f_nodes[rows] = f(half[:, None] * nodes + (0.5 * (a + b))[:, None])
-    return half * (f_nodes @ weights)[rows]
+    return half * (f(half[:, None] * nodes + (0.5 * (a + b))[:, None]) @ weights)
 
 
 def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float) -> float:

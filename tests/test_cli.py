@@ -114,6 +114,82 @@ def test_sweep_command(tmp_path):
     assert eta_num == pytest.approx(eta_cf, abs=1e-6)
 
 
+def test_sweep_on_a_zero_voltage_leg(tmp_path, monkeypatch):
+    # alpha0 = 0: V = 0, so every gamma takes the profile affine in K
+    material = tmp_path / "mat.json"
+    material.write_text(json.dumps({"kappa": {"family": "linear", "a": 0.5, "b": 1.0},
+                                    "rho": {"family": "constant", "c": 1.0},
+                                    "alpha0": 0.0}))
+    solve, solved = cli.ivp.solve_ratio_mode, []
+    monkeypatch.setattr(cli.ivp, "solve_ratio_mode",
+                        lambda *a, **kw: solved.append(solve(*a, **kw)) or solved[-1])
+    cfg = _write_config(tmp_path, material_file=str(material),
+                        mode={"type": "sweep", "gamma_min": 0.0, "gamma_max": 2.0,
+                              "n": 5})
+    assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    header, *rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 5
+    for row in rows:
+        value = dict(zip(header.split(","), map(float, row.split(","))))
+        assert value["eta_closed_form"] == value["eta_numeric"] == value["J"] == 0.0
+    assert len(solved) == 5
+    for sol in solved:
+        assert sol.J == 0.0 and abs(sol.T[-1] - 1.0) <= 1e-14
+
+
+_MODE_OF_TYPE = {
+    "ratio": {"type": "ratio", "gamma": 1.0},
+    "resistance": {"type": "resistance", "R_load": 8.0},
+    "sweep": {"type": "sweep", "gamma_min": 0.0, "gamma_max": 2.0, "n": 5},
+    "multiplicity": {"type": "multiplicity", "R_load": 8.0},
+}
+
+
+@pytest.mark.parametrize("command, mtype", [
+    ("solve", "sweep"), ("solve", "multiplicity"),
+    ("sweep", "ratio"), ("sweep", "resistance"), ("sweep", "multiplicity"),
+    ("multiplicity", "ratio"), ("multiplicity", "resistance"),
+    ("multiplicity", "sweep"),
+])
+def test_mode_the_command_does_not_serve_exit_code_and_record(
+        tmp_path, capsys, command, mtype):
+    cfg = _write_config(tmp_path, mode=_MODE_OF_TYPE[mtype])
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == cli.EXIT_CONFIG
+    assert command in record["message"] and repr(mtype) in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"output_dir": 5}, "'output_dir'"),
+    ({"output_dir": True}, "'output_dir'"),
+    ({"material_file": 7}, "'material_file'"),
+], ids=["output_dir_number", "output_dir_bool", "material_file_number"])
+def test_path_that_is_not_a_string_exit_code_and_record(
+        tmp_path, capsys, monkeypatch, overrides, key):
+    # str() would take 5 as the directory "5" and True as "True"
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert key in record["message"] and "string" in record["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_output_dir_below_a_regular_file_exit_code_and_record(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = _write_config(tmp_path, output_dir=str(blocker / "out"))
+    assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_IO
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NotADirectoryError"
+    assert record["exit_code"] == cli.EXIT_IO
+    assert blocker.read_text() == ""
+
+
 def test_missing_material_file_exit_code_and_record(tmp_path, capsys):
     cfg = _write_config(tmp_path, material_file=str(tmp_path / "nowhere.json"))
     code = cli.main(["solve", "--config", str(cfg)])
@@ -163,9 +239,9 @@ def test_non_numeric_mode_field_exit_code_and_record(tmp_path, capsys, mode):
     ({"T_h": True}, "'T_h'"),
     ({"mode": {"type": "ratio", "gamma": "1.5"}}, "'gamma'"),
     ({"mode": {"type": "ratio", "gamma": True}}, "'gamma'"),
-    ({"tolerances": {"tol_root": "1e-9"}}, "'tolerances.tol_root'"),
+    ({"tolerances": {"sweep_gamma_max": "1e-9"}}, "'tolerances.sweep_gamma_max'"),
     ({"tolerances": {"n_out": "4"}}, "'tolerances.n_out'"),
-], ids=["T_h_text", "T_h_bool", "gamma_text", "gamma_bool", "tol_root_text",
+], ids=["T_h_text", "T_h_bool", "gamma_text", "gamma_bool", "sweep_gamma_max_text",
         "n_out_text"])
 def test_config_number_given_as_text_or_bool_exit_code_and_record(
         tmp_path, capsys, overrides, key):
@@ -260,8 +336,9 @@ def test_tol_ode_rejected(tmp_path, capsys):
                "gamma": 1.0}}, "gamma"),
     ({"tolerances": {"n_outt": 0}}, "n_outt"),
     ({"tolerances": {"tol_od": 1e-3}}, "tol_od"),
+    ({"tolerances": {"tol_root": 1e-9}}, "tol_root"),
 ], ids=["top_level", "mode_typo", "other_mode_field", "tolerance_typo",
-        "tol_od"])
+        "tol_od", "tol_root"])
 def test_unknown_config_key_exit_code_and_record(tmp_path, capsys, overrides, key):
     cfg = _write_config(tmp_path, **overrides)
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG

@@ -3,8 +3,10 @@ and the Gauss-Legendre W grid against per-segment adaptive quadrature."""
 
 import ast
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from tegsolve import ivp, loadmode, materials
 
 import oracles
 from helpers import (make_model, random_spec, three_solution_problem,
-                     two_solution_problem, unit_spec)
+                     two_solution_problem)
 
 REL = 1e-13  # summation order differs from the loop; the arithmetic does not
 TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
@@ -29,20 +31,19 @@ def reference_y_c(q, theta):
     """y_c(theta) by the scalar loop: one spline call and one rho call per
     Gauss-Legendre sub-interval, panels summed in order."""
     theta = float(theta)
-    if theta > 0:
-        q._ensure(0.5 * theta * theta)
+    t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
     w_lo = -math.sqrt(theta * theta + 2.0 * q.r)
     pts = {w_lo, theta}
     if theta > 0:
         pts.update((0.0, -theta))
-    for q_k in q._kink_q:
+    for q_k in t.kink_q:
         w2 = theta * theta - 2.0 * q_k
         if w2 > 0:
             w_k = math.sqrt(w2)
             pts.update(c for c in (-w_k, w_k) if w_lo < c < theta)
     pts = sorted(pts)
     span = pts[-1] - pts[0]
-    assert q.gl_order == GL_NODES.size
+    assert ivp._GL_ORDER == GL_NODES.size
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         n_sub = min(8, max(1, int(math.ceil((hi - lo) / (0.25 * span + 1e-300)))))
@@ -50,27 +51,28 @@ def reference_y_c(q, theta):
         panel = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             w = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
-            qq = np.clip(0.5 * (theta * theta - w * w), q._grid_W[0], q._grid_W[-1])
-            rho = q.spec.pair.rho.value(q._inv(qq))
+            qq = np.clip(0.5 * (theta * theta - w * w), t.W[0], t.W[-1])
+            rho = q.spec.pair.rho.value(t.inv(qq))
             panel += 0.5 * (b - a) * float(np.dot(GL_WEIGHTS, 1.0 / rho))
         total += panel
     return total
 
 
-def test_array_y_c_matches_scalar_loop_on_all_family_pairs():
+def test_array_y_c_matches_scalar_loop_on_all_family_pairs(monkeypatch):
+    # a coarse W^-1 grid keeps the quad-fallback builds cheap; both routes
+    # read the same grid, so the comparison is unaffected
+    monkeypatch.setattr(ivp, "_N_BASE", 257)
     rng = np.random.default_rng(71)
     for idx in range(49):
         spec = random_spec(rng, idx)
-        # a coarse W^-1 grid keeps the quad-fallback builds cheap; both routes
-        # read the same grid, so the comparison is unaffected
-        q = tg.HittingTimeQuadrature(spec, n_base=257)
-        q._ensure(TINY)  # the rest of the first block: the grid reaches T_h + 2 dT
-        W_top = float(q._grid_W[-1])
+        q = tg.HittingTimeQuadrature(spec)
+        q._reach(TINY)  # the rest of the first block: the grid reaches T_h + 2 dT
+        W_top = float(q._table.W[-1])
         s = math.sqrt(2.0 * spec.rk)
         big = math.sqrt(3.0 * W_top)  # theta^2 / 2 = 1.5 W_top: extends the grid
         thetas = np.array([-4.0 * s, -s, -0.05 * s, 0.0, 0.05 * s, 0.7 * s, s, big])
         got = q.y_c(thetas)
-        assert q._grid_W[-1] >= 0.5 * big * big > W_top, idx
+        assert q._table.W[-1] >= 0.5 * big * big > W_top, idx
         for th, y in zip(thetas, got):
             ref = reference_y_c(q, th)
             assert abs(y - ref) <= REL * ref, (idx, th, y, ref)
@@ -140,7 +142,7 @@ def reference_W(q):
     """W on q's nodes by adaptive Gauss-Kronrod quadrature of every segment
     (kinks sit on nodes; scipy's quad_vec, all segments mapped onto [-1, 1]
     in one vector-valued call), summed from T_c and anchored at W(T_h) = 0."""
-    grid, pair = q._grid_T, q.spec.pair
+    grid, pair = q._table.T, q.spec.pair
     half, mid = 0.5 * np.diff(grid), 0.5 * (grid[:-1] + grid[1:])
     seg, _ = quad_vec(lambda s: half * pair.rho_kappa(mid + half * s), -1.0, 1.0,
                       epsabs=0.0, epsrel=1e-14, norm="max")
@@ -156,13 +158,14 @@ def _spec_at(seed, idx):
     return spec
 
 
-def test_w_grid_matches_coupling_integrals_on_all_family_pairs():
+def test_w_grid_matches_coupling_integrals_on_all_family_pairs(monkeypatch):
+    monkeypatch.setattr(ivp, "_N_BASE", 257)
     rng = np.random.default_rng(71)
     for idx in range(49):
         spec = random_spec(rng, idx)
         pair = spec.pair
-        q = tg.HittingTimeQuadrature(spec, n_base=257)
-        W = q._grid_W
+        q = tg.HittingTimeQuadrature(spec)
+        W = q._table.W
         # 8-point GL is exact to rounding on every segment
         err = np.max(np.abs(W - reference_W(q))) / np.max(np.abs(W))
         assert err <= 1e-15, (idx, pair.kappa.family, pair.rho.family, err)
@@ -174,10 +177,10 @@ def test_w_grid_matches_coupling_integrals_on_all_family_pairs():
             continue
         n_old = W.size
         q.y_c(4.0 * s)
-        assert q._grid_W.size > n_old
-        np.testing.assert_array_equal(q._grid_W[:n_old], W)
+        assert q._table.W.size > n_old
+        np.testing.assert_array_equal(q._table.W[:n_old], W)
         # appended blocks are summed from the old top, the reference from T_c
-        err = np.max(np.abs(q._grid_W - reference_W(q))) / np.max(np.abs(q._grid_W))
+        err = np.max(np.abs(q._table.W - reference_W(q))) / np.max(np.abs(q._table.W))
         assert err <= 1e-13, (idx, pair.kappa.family, pair.rho.family, err)
 
 
@@ -199,8 +202,8 @@ def test_w_grid_build_makes_no_quad_call(kap_fam, rho_fam, monkeypatch):
     monkeypatch.setattr(scipy.integrate, "quad", no_quad)
     assert spec.rk > 0 and spec.u_h > T_c  # r and K take the same GL pass
     q = tg.HittingTimeQuadrature(spec)
-    q._ensure(TINY)
-    assert q._grid_T.size >= q.n_base
+    q._reach(TINY)
+    assert q._table.T.size >= ivp._N_BASE
 
 
 def test_package_does_not_import_scipy_integrate():
@@ -246,11 +249,11 @@ def test_converging_coupling_integral_raises_numerical_blowup():
     # reciprocal kappa x reciprocal rho: W stops growing before theta^2 / 2
     spec = _spec_at(3, 9)
     q = tg.HittingTimeQuadrature(spec)
-    q._ensure(TINY)
-    grid = q._grid_T
+    q._reach(TINY)
+    grid = q._table.T
     with pytest.raises(tg.NumericalBlowup):
         q.y_c(4.0 * math.sqrt(2.0 * spec.rk))
-    assert q._grid_T is grid  # the failed extension appended nothing
+    assert q._table.T is grid  # the failed extension appended nothing
 
 
 def test_theta_squared_overflow_raises_numerical_blowup():
@@ -266,24 +269,26 @@ def test_theta_squared_overflow_raises_numerical_blowup():
 def full_panel_y_c(q, theta):
     """y_c with every sub-interval of _subdivide(_splits(theta), 4)
     integrated, the [-theta, 0] panels included (the rule before mirroring)."""
-    owner, a, b = ivp._subdivide(q._splits(theta), 4)
-    seg = q._inv_rho_integrals(a, b, (theta * theta)[owner])
+    t = q._table
+    owner, a, b = ivp._subdivide(q._splits(t, theta), 4)
+    seg = q._inv_rho_integrals(t, a, b, (theta * theta)[owner])
     return np.bincount(owner, weights=seg, minlength=theta.size)
 
 
 def full_panel_profile(q, theta, n_out=ivp.N_OUT):
     """(T, y_c) of materialize(theta) by the rule before mirroring: every
     sub-interval integrated, the [-theta, 0] edges included."""
-    _, a, b = ivp._subdivide(q._splits(np.array([theta])), ivp._PROFILE_INTERVALS)
+    t = q._table
+    _, a, b = ivp._subdivide(q._splits(t, np.array([theta])), ivp._PROFILE_INTERVALS)
     tt = theta * theta
-    seg = q._inv_rho_integrals(a, b, np.full(a.size, tt))
+    seg = q._inv_rho_integrals(t, a, b, np.full(a.size, tt))
     y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
     w = np.append(a, theta)[::-1]
-    slope = -q.spec.pair.rho.value(q._T_of_w(tt, w))
+    slope = -q.spec.pair.rho.value(q._T_of_w(t, tt, w))
     keep = np.concatenate([[True], np.diff(y) > 0])
     w_out = CubicHermiteSpline(y[keep], w[keep], slope[keep])(
         np.linspace(0.0, y[-1], n_out + 1))
-    return q._T_of_w(tt, w_out), float(y[-1])
+    return q._T_of_w(t, tt, w_out), float(y[-1])
 
 
 def _mirror_cases():
@@ -296,8 +301,9 @@ def _mirror_cases():
 
 @pytest.mark.parametrize("name,spec", list(_mirror_cases()),
                          ids=[name for name, _ in _mirror_cases()])
-def test_mirrored_panels_match_full_panel_rule(name, spec):
-    q = tg.HittingTimeQuadrature(spec, n_base=1025)
+def test_mirrored_panels_match_full_panel_rule(name, spec, monkeypatch):
+    monkeypatch.setattr(ivp, "_N_BASE", 1025)
+    q = tg.HittingTimeQuadrature(spec)
     s = math.sqrt(2.0 * spec.rk)
     V = abs(spec.V)
     thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0, 1e-3 * s, 0.1 * s, 0.5 * s,
@@ -312,12 +318,12 @@ def test_mirrored_panels_match_full_panel_rule(name, spec):
         assert sol.y_c == pytest.approx(y_c_want, rel=1e-14, abs=0), (name, theta)
 
 
-def test_materialize_where_mirrored_panels_get_no_sub_interval():
+def test_materialize_where_mirrored_panels_get_no_sub_interval(monkeypatch):
     # 512 * theta / span underflows to 0: [0, theta] and [-theta, 0] both get
     # no sub-interval, so there is nothing to reflect
+    monkeypatch.setattr(ivp, "_N_BASE", 257)
     pair = tg.MaterialPair(kappa=tg.constant(1e3), rho=tg.constant(1e3), alpha0=1.0)
-    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0),
-                                 n_base=257)
+    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
     T_want, y_c_want = full_panel_profile(q, 5e-324)
     sol = q.materialize(5e-324, gamma=1.0)
     np.testing.assert_array_equal(sol.T, T_want)
@@ -325,15 +331,15 @@ def test_materialize_where_mirrored_panels_get_no_sub_interval():
 
 
 def eager_first_block(q):
-    """Nodes and W of q's whole first block [T_c, T_h + 2 dT] in one pass,
-    as the grid was built before it grew on demand: one running sum from
-    T_c, anchored at W(T_h) = 0."""
+    """Nodes of q's whole first block [T_c, T_h + 2 dT] in one pass, as the
+    grid was built before it grew on demand, and W above T_h: the running
+    sum of the segment integrals there from W(T_h) = 0."""
     spec = q.spec
-    grid = materials.segment_nodes(spec.pair, spec.T_c, q._T_top, q.n_base,
+    grid = materials.segment_nodes(spec.pair, spec.T_c, q._table.top, ivp._N_BASE,
                                    extra=(spec.T_h,))
-    seg = materials.segment_integrals(spec.pair.rho_kappa, grid)
-    W = np.concatenate([[0.0], np.cumsum(seg)])
-    return grid, W - W[int(np.searchsorted(grid, spec.T_h))]
+    i_h = int(np.searchsorted(grid, spec.T_h))
+    seg = materials.segment_integrals(spec.pair.rho_kappa, grid[i_h:])
+    return grid, np.cumsum(np.concatenate([[0.0], seg]))
 
 
 def test_w_grid_reaches_above_T_h_only_for_positive_theta(monkeypatch):
@@ -353,15 +359,52 @@ def test_w_grid_reaches_above_T_h_only_for_positive_theta(monkeypatch):
         sol = tg.solve_ratio_mode(spec, gamma)
         q = built[-1]
         # theta <= 0: the trajectory stays at or below T_h, and so does the grid
-        assert q._grid_T[-1] == spec.T_h == sol.T[0], idx
-        prefix_T, prefix_W = q._grid_T, q._grid_W
+        assert q._table.T[-1] == spec.T_h == sol.T[0], idx
+        prefix_T, prefix_W = q._table.T, q._table.W
         q.y_c(0.01 * math.sqrt(2.0 * spec.rk))
         # the first theta > 0 appends the rest of the first block, bit for bit
-        grid, W = eager_first_block(q)
-        np.testing.assert_array_equal(q._grid_T, grid, err_msg=str(idx))
-        np.testing.assert_array_equal(q._grid_W, W, err_msg=str(idx))
-        np.testing.assert_array_equal(q._grid_W[:prefix_W.size], prefix_W)
+        grid, W_rest = eager_first_block(q)
+        np.testing.assert_array_equal(q._table.T, grid, err_msg=str(idx))
+        np.testing.assert_array_equal(q._table.W[:prefix_W.size], prefix_W)
+        np.testing.assert_array_equal(q._table.W[prefix_W.size - 1:], W_rest,
+                                      err_msg=str(idx))
         assert prefix_T.size < grid.size
+
+
+def test_table_taken_before_an_extension_still_gives_the_same_y_c():
+    # each call reads one table: an extension publishes a new one and leaves
+    # the old one, and theta <= 0 reads only the nodes up to T_h of either
+    rng = np.random.default_rng(71)
+    for idx in range(14):  # every kappa family and every rho family
+        spec = random_spec(rng, idx)
+        s = math.sqrt(2.0 * spec.rk)
+        thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0])
+        q = tg.HittingTimeQuadrature(spec)
+        old = q._table
+        first = q._y_c_chunk(old, thetas)
+        q.y_c(0.5 * s)
+        assert q._table is not old and q._table.T.size > old.T.size, idx
+        for t in (old, q._table):
+            np.testing.assert_array_equal(q._y_c_chunk(t, thetas), first, str(idx))
+        np.testing.assert_array_equal(q.y_c(thetas), first, str(idx))
+
+
+def test_threads_sharing_one_quadrature_get_the_single_thread_y_c():
+    # reciprocal kappa x table rho: theta = 4 s appends 13 blocks, so threads
+    # extend the shared table while others read it
+    spec = _spec_at(71, 12)
+    s = math.sqrt(2.0 * spec.rk)
+    thetas = [k * s for k in (-1.0, 0.5, 4.0, 1.0, 3.0, 2.0, 0.0, 3.5)]
+    want = [tg.HittingTimeQuadrature(spec).y_c(th) for th in thetas]
+    shared = tg.HittingTimeQuadrature(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(shared.y_c, thetas * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 4
 
 
 def _stall_above_T_h():
@@ -390,7 +433,7 @@ def test_failed_extension_leaves_the_quadrature_unchanged(case):
     assert all(vars(q)[k] is v for k, v in before.items())
     # the first block's rest is still there for a theta it can serve
     assert q.y_c(reachable) > 0
-    assert q._grid_T[-1] > spec.T_h
+    assert q._table.T[-1] > spec.T_h
 
 
 @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-160, 1e-8])
@@ -405,19 +448,3 @@ def test_materialize_at_tiny_positive_theta(theta):
     assert np.all(np.isfinite(sol.T)) and np.all(np.isfinite(sol.q))
     assert sol.T[0] == spec.T_h
     assert abs(sol.T[-1] - spec.T_c) <= 1e-14
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    ({"n_base": 0}, "n_base"), ({"n_base": 1}, "n_base"), ({"n_base": -5}, "n_base"),
-    ({"gl_order": 0}, "gl_order"), ({"gl_order": -1}, "gl_order"),
-])
-def test_grid_and_order_below_their_least_raise_domain_error(kwargs, name):
-    with pytest.raises(tg.DomainError, match=f"^{name} must be >= "):
-        tg.HittingTimeQuadrature(unit_spec(), **kwargs)
-
-
-@pytest.mark.parametrize("kwargs", [{"n_base": 2}, {"gl_order": 1}])
-def test_least_grid_and_order_are_accepted(kwargs):
-    q = tg.HittingTimeQuadrature(unit_spec(), **kwargs)
-    # unit leg: rho = 1, so y_c(theta <= 0) = I(theta) exactly
-    assert q.y_c(-0.5) == pytest.approx(tg.shooting_function(q.spec, -0.5), rel=1e-12)

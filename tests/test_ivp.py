@@ -425,11 +425,11 @@ def test_ratio_mode_where_rho_kappa_stalls_above_T_h():
     assert sol.theta == pytest.approx(-4.8125, rel=1e-14)
     assert abs(sol.eta_numeric - tg.efficiency(spec, 1.0)) <= TOL_ETA
     q = tg.HittingTimeQuadrature(spec)
-    assert spec.T_h <= q._grid_T[-1] < 3.0
+    assert spec.T_h <= q._table.T[-1] < 3.0
     # W(3) - W(T_h) = 1/8, so theta^2 / 2 within the cap is served ...
     assert q.y_c(0.45) > 0
-    grid = q._grid_T
+    grid = q._table.T
     # ... and a theta that needs W beyond it raises, leaving the grid as it was
     with pytest.raises(tg.NumericalBlowup, match="stops growing at T=3"):
         q.y_c(1.0)
-    assert q._grid_T is grid
+    assert q._table.T is grid

@@ -103,7 +103,7 @@ def test_three_solution_roots_satisfy_full_system():
         assert np.max(defect[~near_kink[1:-1]]) <= 2e-3
         assert rep.boundary_error_cold <= 1e-8
         assert rep.nonlocal_residual <= 1e-9
-        # resistance decomposition: |R_int + R_load - V/(J A_c)| <= tol_root
+        # resistance decomposition: |R_int + R_load - V/(J A_c)| <= TOL_ROOT
         R_int = sol.R_total - prob.R_load
         assert abs(R_int + prob.R_load
                    - prob.spec.V / (sol.J * prob.spec.A_c)) <= 1e-9
