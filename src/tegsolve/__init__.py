@@ -14,7 +14,6 @@ from .errors import (
     NonPositiveHotFlux,
     NonPositiveValue,
     NumericalBlowup,
-    ScanIncomplete,
     TegError,
     ZeroSeebeck,
     ZeroVoltage,

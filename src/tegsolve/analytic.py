@@ -141,12 +141,15 @@ def shooting_function(spec: GeneratorSpec, theta):
     """I(theta) = theta + sqrt(theta^2 + 2r): the value of the nonlocal
     current constraint produced by initial slope theta in transformed
     coordinates; a float for scalar theta, an array for an array.  Strictly
-    increasing, I(-inf) = 0+, I(+inf) = inf, and I(theta) - I(-theta) =
-    2*theta.
+    increasing, I(-inf) = 0+, I(+inf) = inf, I(theta) - I(-theta) = 2*theta
+    and I(theta) * I(-theta) = 2r.  For theta < 0 it is evaluated as
+    2r / (hypot(theta, sqrt(2r)) - theta), which does not cancel.
     """
     if spec.delta_T == 0:
         raise DegenerateError("shooting function needs T_h > T_c")
-    return _ret(theta + np.sqrt(np.square(theta) + 2.0 * spec.rk))
+    a = np.abs(theta)
+    up = np.hypot(a, math.sqrt(2.0 * spec.rk)) + a
+    return _ret(np.where(np.less(theta, 0.0), 2.0 * spec.rk / up, up))
 
 
 def matched_initial_slope(spec: GeneratorSpec, gamma: float) -> float:

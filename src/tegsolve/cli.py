@@ -7,7 +7,7 @@ failure class:
     0  success
     2  config parse/validation error (also argparse usage errors)
     3  material error (file missing/unparsable, invalid or out-of-domain model)
-    4  solver error (bad solver inputs, numerical failure, incomplete scan),
+    4  solver error (bad solver inputs, numerical failure),
        and any exception that no typed handler expects
     5  output I/O error
 

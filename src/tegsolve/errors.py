@@ -42,14 +42,5 @@ class NonPositiveHotFlux(TegError):
     """Hot-side heat flux q_h <= 0; flux-ratio efficiency is not meaningful."""
 
 
-class ScanIncomplete(TegError):
-    """Root scan found no bracket and both endpoints sit on the same side of
-    the target level.  Carries diagnostics instead of returning silently."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 class ConfigError(TegError):
     """CLI configuration file failed to parse or validate."""

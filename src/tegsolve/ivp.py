@@ -11,18 +11,22 @@ energy identity
 
     w^2 = theta^2 - 2 W(T),   W(T) = \\int_{T_h}^{T} rho kappa dT,
 
-fixes T as a function of w alone.  Hence
+fixes T as a function of w alone.  In the drop s = theta - w, which runs
+from 0 at the hot end to I(theta) = theta - w_c at the cold end,
 
-    y(w) = \\int_w^theta dw' / rho(T(w')),   y_c = y(w_c),
-    \\int_0^{y_c} rho dy = theta - w_c = I(theta),
+    W(T) = q(s) = s (2 theta - s) / 2,
+    y(s) = \\int_0^s ds' / rho(T(s')),   y_c = y(I(theta)),
+    \\int_0^{y_c} rho dy = I(theta),
 
 so the hitting time, the profile and the internal resistance all come from
-one quadrature in w (HittingTimeQuadrature).
+one quadrature in s (HittingTimeQuadrature).  Neither q(s) nor I(theta)
+cancels for theta <= 0, however far theta lies below -sqrt(2r).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,9 +189,11 @@ def _subdivide(pts: np.ndarray, n_span: int):
 
 
 def _unmirrored(theta: np.ndarray, owner, a, b):
-    """The sub-intervals of _subdivide outside [-theta[owner], 0]: for theta > 0
-    the integrand depends on w^2 only, so those mirror the ones in [0, theta]."""
-    keep = (a < -theta[owner]) | (a >= 0)
+    """The sub-intervals of _subdivide outside [theta[owner], 2 theta[owner]]:
+    for theta > 0 the integrand depends on q(s) = q(2 theta - s) only, so
+    those mirror the ones in [0, theta]."""
+    th = theta[owner]
+    keep = (a < th) | (a >= 2.0 * th)
     return owner[keep], a[keep], b[keep]
 
 
@@ -215,16 +221,17 @@ class HittingTimeQuadrature:
     identity.
 
     Along a trajectory the slope w = u_y decreases monotonically, and
-    w^2 = theta^2 - 2 W(T) with W(T) = \\int_{T_h}^{T} rho kappa dT, so
+    w^2 = theta^2 - 2 W(T) with W(T) = \\int_{T_h}^{T} rho kappa dT, so in the
+    drop s = theta - w
 
-        y_c(theta) = \\int_{w_c}^{theta} dw / rho(W^{-1}((theta^2 - w^2)/2)),
-        w_c = -sqrt(theta^2 + 2 r).
+        y_c(theta) = \\int_0^{I(theta)} ds / rho(W^{-1}(s (2 theta - s) / 2)),
+        I(theta) = theta + sqrt(theta^2 + 2 r).
 
     The integrand is bounded and piecewise-analytic; panelwise Gauss-Legendre
-    with splits at the w-images of rho/kappa kinks costs a fraction of an ODE
-    solve; accurate unless rho nears 0 just past w = +-theta.  The inverse of W is
-    cached as a Hermite spline on a kink-aware grid with node values from
-    8-point Gauss-Legendre per segment and exact node derivatives
+    with splits at the s-images of rho/kappa kinks costs a fraction of an ODE
+    solve; accurate unless rho nears 0 just past s = 0 or s = 2 theta.  The
+    inverse of W is cached as a Hermite spline on a kink-aware grid with node
+    values from 8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
     every spline interval O(h^4).  The grid is built to T_h, as far as theta
     <= 0 reaches; theta > 0 appends the rest of the first _N_BASE-node block,
@@ -240,7 +247,6 @@ class HittingTimeQuadrature:
         if spec.delta_T <= 0:
             raise DegenerateError("hitting-time quadrature needs T_h > T_c")
         self.spec = spec
-        self.r = spec.rk
         self._table = self._build()
 
     def _build(self) -> _WTable:
@@ -323,42 +329,50 @@ class HittingTimeQuadrature:
         return _ret(out.reshape(theta.shape))
 
     def _splits(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
-        """Panel ends per theta, sorted along axis 1: w_c, theta, w = 0 and
-        -theta (theta > 0) and the w-images of rho/kappa kinks.  Absent split
-        points are set to theta, so they become zero-width panels."""
+        """Panel ends in s per theta, sorted along axis 1: 0, I(theta), theta
+        and 2 theta (theta > 0) and the s-images of the rho/kappa kinks that
+        some theta reaches.  A kink at q_k = W(T_k) has the images
+        s = theta -+ sqrt(theta^2 - 2 q_k), taken as b = theta +
+        copysign(sqrt(theta^2 - 2 q_k), theta) and 2 q_k / b, so neither
+        cancels.  Absent split points are set to 0, so they become
+        zero-width panels."""
         tt = theta * theta
-        w_lo = -np.sqrt(tt + 2.0 * self.r)
-        if not np.all(np.isfinite(w_lo)):
-            raise NumericalBlowup("theta^2 + 2r is not a finite float")
+        if not np.all(np.isfinite(tt)):
+            raise NumericalBlowup("theta^2 is not a finite float")
+        I = shooting_function(self.spec, theta)
         up = theta > 0
-        cols = [w_lo, theta, np.where(up, 0.0, theta), np.where(up, -theta, theta)]
-        for q_k in t.kink_q:
+        cols = [np.zeros_like(theta), I, np.where(up, theta, 0.0),
+                np.where(up, 2.0 * theta, 0.0)]
+        top = theta.max(initial=0.0)
+        for q_k in t.kink_q[:bisect_left(t.kink_q, 0.5 * top * top)]:
             w2 = tt - 2.0 * q_k
-            w_k = np.sqrt(np.maximum(w2, 0.0))
-            for cand in (-w_k, w_k):
-                inside = (w2 > 0) & (w_lo < cand) & (cand < theta)
-                cols.append(np.where(inside, cand, theta))
+            root = np.sqrt(np.maximum(w2, 0.0))
+            # b = inf where theta does not reach the kink: both images drop out
+            b = np.where(w2 > 0, theta + np.copysign(root, theta), np.inf)
+            for cand in (b, 2.0 * q_k / b):
+                cols.append(np.where((0.0 < cand) & (cand < I), cand, 0.0))
         return np.sort(np.column_stack(cols), axis=1)
 
-    def _T_of_w(self, t: _WTable, tt, w):
-        """T = W^{-1}((theta^2 - w^2) / 2) on t's spline, tt = theta^2."""
-        return t.inv(np.clip(0.5 * (tt - w * w), t.W[0], t.W[-1]))
+    def _T_of_s(self, t: _WTable, theta, s):
+        """T = W^{-1}(s (2 theta - s) / 2) on t's spline."""
+        return t.inv(np.clip(0.5 * s * (2.0 * theta - s), t.W[0], t.W[-1]))
 
-    def _inv_rho_integrals(self, t: _WTable, a, b, tt):
-        """Gauss-Legendre integral of 1 / rho(T(w)) over each [a, b]."""
+    def _inv_rho_integrals(self, t: _WTable, a, b, theta):
+        """Gauss-Legendre integral of 1 / rho(T(s)) over each [a, b]."""
         nodes, weights = _gauss_legendre(_GL_ORDER)
         half = 0.5 * (b - a)
-        w = half[:, None] * nodes + (0.5 * (a + b))[:, None]
-        inv_rho = 1.0 / self.spec.pair.rho.value(self._T_of_w(t, tt[:, None], w))
+        s = half[:, None] * nodes + (0.5 * (a + b))[:, None]
+        inv_rho = 1.0 / self.spec.pair.rho.value(self._T_of_s(t, theta[:, None], s))
         return half * (inv_rho @ weights)
 
     def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
-        """Panelwise GL integral of 1 / rho(T(w)) over [w_c, theta] per
+        """Panelwise GL integral of 1 / rho(T(s)) over [0, I(theta)] per
         theta, on _subdivide(_splits(theta), 4), with [0, theta] counted
-        twice in place of its mirror [-theta, 0]."""
+        twice in place of its mirror [theta, 2 theta]."""
         owner, a, b = _unmirrored(theta, *_subdivide(self._splits(t, theta), 4))
-        seg = self._inv_rho_integrals(t, a, b, (theta * theta)[owner])
-        seg[a >= 0] *= 2.0
+        th = theta[owner]
+        seg = self._inv_rho_integrals(t, a, b, th)
+        seg[a < th] *= 2.0
         return np.bincount(owner, weights=seg, minlength=theta.size)
 
     def materialize(self, theta: float, *, gamma: float | None = None,
@@ -369,38 +383,38 @@ class HittingTimeQuadrature:
         R_total is (1 + gamma) R_int in ratio mode, else R_int + R_load, with
         the closed form R_int = L I(theta) / (y_c A_c).  The panels of _splits
         are cut into about _PROFILE_INTERVALS sub-intervals by _subdivide; their
-        cumulative GL integrals give y at the edges, a Hermite spline of w(y)
-        with the exact slope dw/dy = -rho(T(w)) gives w on the n_out + 1
-        output points, and T = W^{-1}((theta^2 - w^2) / 2) on them.
+        cumulative GL integrals give y at the edges, a Hermite spline of s(y)
+        with the exact slope ds/dy = rho(T(s)) gives s on the n_out + 1
+        output points, and T = W^{-1}(s (2 theta - s) / 2) on them.
         """
         spec = self.spec
         _check_n_out(n_out)
         t = self._reach(0.5 * theta * theta if theta > 0 else 0.0)
         th = np.array([theta])
         _, a, b = _unmirrored(th, *_subdivide(self._splits(t, th), _PROFILE_INTERVALS))
-        tt = theta * theta
-        seg = self._inv_rho_integrals(t, a, b, np.full(a.size, tt))
-        # y(w) counted from the hot end, where w = theta
-        y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
-        w = np.append(a, theta)[::-1]
-        n = np.count_nonzero(a >= 0)  # sub-intervals in [0, theta]: w[n] = 0
-        if n:  # edges of [-theta, 0] by reflection: w = -v, y(-v) = 2 y(0) - y(v)
-            w = np.concatenate([w[:n + 1], -w[n - 1::-1], w[n + 1:]])
+        seg = self._inv_rho_integrals(t, a, b, np.full(a.size, theta))
+        # y(s) counted from the hot end, where s = 0
+        s = np.concatenate([[0.0], b])
+        y = np.concatenate([[0.0], np.cumsum(seg)])
+        n = np.count_nonzero(a < theta)  # sub-intervals in [0, theta]: s[n] = theta
+        if n:  # edges 2 theta - v of [theta, 2 theta] by reflection of the
+            # edges v of [0, theta]: y(2 theta - v) = 2 y(theta) - y(v)
+            s = np.concatenate([s[:n + 1], 2.0 * theta - s[n - 1::-1], s[n + 1:]])
             y = np.concatenate([y[:n + 1], 2.0 * y[n] - y[n - 1::-1], y[n] + y[n + 1:]])
-        slope = -spec.pair.rho.value(self._T_of_w(t, tt, w))
+        slope = spec.pair.rho.value(self._T_of_s(t, theta, s))
         # the spline needs y increasing, and a step below an ulp of y_c only
         # adds divided differences that overflow: such a knot is dropped
         y_c = float(y[-1])
         keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y_c])
-        w_out = CubicHermiteSpline(y[keep], w[keep], slope[keep])(
+        s_out = CubicHermiteSpline(y[keep], s[keep], slope[keep])(
             np.linspace(0.0, y_c, n_out + 1))
-        T = self._T_of_w(t, tt, w_out)
+        T = self._T_of_s(t, theta, s_out)
 
         absJ = y_c / spec.L
         J = math.copysign(absJ, spec.V)
         R_int = spec.L * shooting_function(spec, theta) / (y_c * spec.A_c)
         R_total = (1.0 + gamma) * R_int if R_load is None else R_int + R_load
-        q = -w_out * absJ + spec.alpha0 * T * J
+        q = (s_out - theta) * absJ + spec.alpha0 * T * J
         q_h, q_c = float(q[0]), float(q[-1])
         return TemperatureSolution(
             x=np.linspace(0.0, spec.L, n_out + 1), T=T, q=q,

@@ -8,9 +8,12 @@ nonlocal constraint to H(theta) = |V| with
 where I is the closed-form shooting function and y_c the hitting time.  H is
 continuous with H(-inf) = 0 and H(+inf) = inf but need not be monotone, so the
 equation can have several roots: each one is a distinct steady state with its
-own effective load ratio.  This module scans H over a bracket, refines every
-sign change, flags near-tangent stationary points, and materializes each root
-into a full temperature solution.
+own effective load ratio.  Since \\int_0^{y_c} rho dy = I, H = I (1 + S_load /
+rho_bar) with rho_bar = I / y_c the mean resistivity along the trajectory, so
+a root is the ratio-mode slope at the load ratio S_load / rho_bar, and a
+closed form brackets all of them.  This module scans H over that bracket,
+refines every sign change, flags near-tangent stationary points, and
+materializes each root into a full temperature solution.
 
 For a constant kappa and a resistivity clamped linear above the hot end the
 trajectory is an explicit trig/parabola splice; those closed forms are kept
@@ -26,26 +29,19 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .analytic import GeneratorSpec, shooting_function
-from .errors import (
-    DegenerateError,
-    DomainError,
-    InvalidMaterial,
-    ScanIncomplete,
-    ZeroVoltage,
-)
+from .analytic import GeneratorSpec, matched_initial_slope, shooting_function
+from .errors import DegenerateError, DomainError, InvalidMaterial, ZeroVoltage
 from .ivp import (
     N_OUT,
     HittingTimeQuadrature,
     TemperatureSolution,
     numeric_efficiency,
 )
-from .materials import ClampedLinear, Constant, MaterialPair
+from .materials import ClampedLinear, Constant, MaterialPair, segment_nodes
 
 TOL_ROOT = 1e-9        # |H(theta) - |V|| at accepted simple roots
 TOL_TANGENCY = 1e-6    # |H - |V|| below which a stationary point is a root
 SCAN_SAMPLES = 2048    # default theta-scan resolution
-_FLOOR_FACTOR = 1e3    # scan floor at -1e3 * sqrt(2r)
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,6 @@ class ScanDiagnostics:
     n_sign_changes: int = 0
     n_tangency_candidates: int = 0
     merged_roots: int = 0
-    floor_hit: bool = False
     notes: tuple[str, ...] = ()
 
 
@@ -136,16 +131,23 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
                         n_out: int = N_OUT) -> SolutionSet:
     """Find all solutions of H(theta) = |V| at the given scan resolution.
 
-    g = H - |V| is sampled once on a uniform theta grid.  A grid extremum
-    whose neighbours lie on one side of the level (else it sits beside a
-    lone crossing), within one cell's rise of the level (within TOL_TANGENCY
-    if it lies across, else its crossing pair is two roots), is refined by
-    minimising g^2 between the neighbours.  If |g| <= TOL_TANGENCY there, it
-    is a flagged (tangency) root that owns its run of grid points with
-    |g| <= TOL_TANGENCY plus one on each side.  Each sign change it does not
-    own is a simple root, refined by Brent's method to |g| <= TOL_ROOT (a
+    Every root lies inside [theta_lo, |V|/2].  Above: H >= I(theta) > 2 theta.
+    Below: for theta <= 0 the trajectory stays in [T_c, T_h], so its mean
+    resistivity is at least rho_min, the least rho on the nodes of
+    segment_nodes there, and H <= I (1 + S_load / rho_min).  theta_lo =
+    min(0, theta*) with I(theta*) = |V| / (2 (1 + S_load / rho_min)), so
+    H <= |V|/2 at and below theta_lo; the factor 2 covers rho_min being taken
+    on nodes.  g = H - |V| is sampled once on a uniform theta grid there.
+
+    A grid extremum whose neighbours lie on one side of the level (else it
+    sits beside a lone crossing), within one cell's rise of the level (within
+    TOL_TANGENCY if it lies across, else its crossing pair is two roots), is
+    refined by minimising g^2 between the neighbours.  If |g| <= TOL_TANGENCY
+    there, it is a flagged (tangency) root that owns its run of grid points
+    with |g| <= TOL_TANGENCY plus one on each side.  Each sign change it does
+    not own is a simple root, refined by Brent's method to |g| <= TOL_ROOT (a
     note records one that stays above).  Raises DomainError for scan_samples
-    < 2 and ScanIncomplete when no bracket exists in the scan window.
+    < 2.
     """
     spec = prob.spec
     if spec.V == 0:
@@ -153,22 +155,17 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     if scan_samples < 2:
         raise DomainError(f"scan_samples must be >= 2, got {scan_samples}")
     target = abs(spec.V)
-    r = spec.rk
 
     def g(th):
         return H_of_theta(prob, th) - target
 
-    # bracket: H(|V|) > |V| always; extend downward until H < |V| or the floor
-    theta_hi = target
-    floor = -_FLOOR_FACTOR * math.sqrt(2.0 * r)
-    theta_lo = -max(1.0, math.sqrt(2.0 * r))
-    floor_hit = False
-    while g(theta_lo) >= 0.0:
-        if theta_lo <= floor:
-            floor_hit = True
-            break
-        theta_lo = max(2.0 * theta_lo, floor)
-
+    rho_min = float(np.min(spec.pair.rho.value(
+        segment_nodes(spec.pair, spec.T_c, spec.T_h))))
+    # the matched slope at gamma_lo has I = |V| / (1 + gamma_lo)
+    # = |V| / (2 (1 + S_load / rho_min))
+    gamma_lo = 1.0 + 2.0 * prob.S_load / rho_min
+    theta_lo = min(0.0, matched_initial_slope(spec, gamma_lo))
+    theta_hi = 0.5 * target
     grid = np.linspace(theta_lo, theta_hi, scan_samples)
     gv = g(grid)  # one array pass
     dg = np.diff(gv)
@@ -213,16 +210,8 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
         theta_lo=float(theta_lo), theta_hi=float(theta_hi),
         n_samples=scan_samples, theta_grid=grid, H_values=gv + target,
         n_sign_changes=cells.size, n_tangency_candidates=candidates.size,
-        merged_roots=int(merged.sum()), floor_hit=floor_hit, notes=tuple(notes),
+        merged_roots=int(merged.sum()), notes=tuple(notes),
     )
-    if not roots:
-        raise ScanIncomplete(
-            f"no bracket of H = |V| = {target:.6g} in "
-            f"[{theta_lo:.6g}, {theta_hi:.6g}] "
-            f"(H range [{float(gv.min()) + target:.6g}, "
-            f"{float(gv.max()) + target:.6g}], floor_hit={floor_hit})",
-            diagnostics=diagnostics,
-        )
 
     records = []
     for th, tang, res in roots:

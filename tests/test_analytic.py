@@ -128,6 +128,20 @@ def test_shooting_function_symmetry_and_monotonicity():
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, lhs))
 
 
+@pytest.mark.parametrize("k", [1e3, 1e6, 1e9])
+def test_shooting_function_product_identity_far_from_zero(k):
+    # I(theta) I(-theta) = 2r; theta + sqrt(theta^2 + 2r) loses every digit
+    # once theta^2 >> 2r / eps, the form 2r / (hypot - theta) loses none
+    rng = np.random.default_rng(3)
+    for idx in range(7):
+        spec = random_spec(rng, idx)
+        theta = k * math.sqrt(2.0 * spec.rk)
+        small = tg.shooting_function(spec, -theta)
+        assert 0.0 < small < tg.shooting_function(spec, -0.5 * theta)
+        product = tg.shooting_function(spec, theta) * small
+        assert product == pytest.approx(2.0 * spec.rk, rel=4e-16, abs=0)
+
+
 def test_shooting_function_limits():
     spec = unit_spec()
     assert tg.shooting_function(spec, -1e3 * math.sqrt(2.0)) < 1e-3

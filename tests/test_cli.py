@@ -394,6 +394,21 @@ def test_report_at_tiny_seebeck_coefficient(tmp_path):
     assert rep["sherman_lhs"] == pytest.approx(rep["sherman_rhs"], rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha0", [1e-7, 1e-8])
+def test_solve_at_tiny_seebeck_coefficient_reaches_T_c(tmp_path, alpha0):
+    # theta* ~ -4 / alpha0: the profile must still end on T_c, not 1.03 T_c
+    # (1e-7) or in a spline error (1e-8)
+    material = tmp_path / "mat.json"
+    material.write_text(json.dumps({"kappa": {"family": "constant", "c": 1.0},
+                                    "rho": {"family": "constant", "c": 1.0},
+                                    "alpha0": alpha0}))
+    cfg = _write_config(tmp_path, material_file=str(material))
+    assert cli.main(["solve", "--config", str(cfg)]) == 0
+    rows = np.loadtxt(tmp_path / "out" / "solution.csv", delimiter=",", skiprows=1)
+    assert rows[0, 1] == 2.0
+    assert abs(rows[-1, 1] - 1.0) <= 1e-12
+
+
 def _format_17g(v):
     """The per-value CSV rule: bools as 1/0, any other value as
     format(float(v), ".17g")."""

@@ -4,6 +4,7 @@ code, and every failure in a one-line JSON error record, never a traceback."""
 import contextlib
 import io
 import json
+import math
 import string
 import tempfile
 from dataclasses import fields
@@ -44,6 +45,16 @@ _non_numbers = st.none() | st.booleans() | _name | st.lists(_scalar, max_size=2)
 COUNT_VALUES = st.integers(-3, 48) | st.floats(-3.0, 48.0) | _non_numbers
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# a small |alpha0| or a big load sends the slope far below -sqrt(2r)
+ALPHA0 = st.builds(math.copysign, _log_uniform(1e-12, 3.0),
+                   st.sampled_from([1.0, -1.0]))
+R_LOAD = _log_uniform(1e-2, 1e3)
+
+
 def _lookup(table, key, default):
     return table.get(key, default) if isinstance(key, str) else default
 
@@ -70,12 +81,12 @@ def inputs(draw):
     model = {where: {"family": fam, **GOOD_PARAMS[fam]} for where, fam in (
         ("kappa", draw(st.sampled_from(sorted(GOOD_PARAMS)))),
         ("rho", draw(st.sampled_from(sorted(GOOD_PARAMS)))))}
-    material = {**model, "alpha0": draw(st.floats(-3.0, 3.0))}
+    material = {**model, "alpha0": draw(ALPHA0)}
     T_c = draw(st.floats(0.6, 3.0))
     mtype = draw(st.sampled_from(["ratio", "resistance"] if command == "solve"
                                  else sorted(MODE_FIELDS)))
     mode = {"type": mtype, **{"gamma": draw(st.floats(0.0, 4.0)),
-                              "R_load": draw(st.floats(0.1, 10.0)),
+                              "R_load": draw(R_LOAD),
                               "gamma_min": 0.0, "gamma_max": 2.0, "n": 5}}
     mode = {k: v for k, v in mode.items() if k == "type" or k in MODE_FIELDS[mtype]}
     tolerances = {"scan_samples": draw(st.integers(2, 48)),

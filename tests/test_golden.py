@@ -12,6 +12,13 @@ environment that wrote out/):
   error by R_total / R_int, under 3 in these legs (measured 4.1e-11).
 * The tangency root minimises (H - |V|)^2, which fixes theta only to about
   sqrt(eps) of the scale; its whole row drifts up to 1.054e-9 (theta).
+
+Both h_curve.csv files, and the two_solutions tangency row with its profile,
+were rewritten by the phase-space quadrature when the scan window became the
+closed-form bracket [theta_lo, |V|/2]: the theta grid is new, and the
+minimiser of (H - |V|)^2 between new grid neighbours moved 1.1e-8 relative,
+still on the same crossing of the dip in H below |V|, 7.9e-6 from the exact
+stationary point.  Every other row is as first written.
 """
 
 import csv

@@ -32,7 +32,7 @@ def reference_y_c(q, theta):
     Gauss-Legendre sub-interval, panels summed in order."""
     theta = float(theta)
     t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
-    w_lo = -math.sqrt(theta * theta + 2.0 * q.r)
+    w_lo = -math.sqrt(theta * theta + 2.0 * q.spec.rk)
     pts = {w_lo, theta}
     if theta > 0:
         pts.update((0.0, -theta))
@@ -268,27 +268,27 @@ def test_theta_squared_overflow_raises_numerical_blowup():
 
 def full_panel_y_c(q, theta):
     """y_c with every sub-interval of _subdivide(_splits(theta), 4)
-    integrated, the [-theta, 0] panels included (the rule before mirroring)."""
+    integrated, the [theta, 2 theta] panels included (the rule before
+    mirroring)."""
     t = q._table
     owner, a, b = ivp._subdivide(q._splits(t, theta), 4)
-    seg = q._inv_rho_integrals(t, a, b, (theta * theta)[owner])
+    seg = q._inv_rho_integrals(t, a, b, theta[owner])
     return np.bincount(owner, weights=seg, minlength=theta.size)
 
 
 def full_panel_profile(q, theta, n_out=ivp.N_OUT):
     """(T, y_c) of materialize(theta) by the rule before mirroring: every
-    sub-interval integrated, the [-theta, 0] edges included."""
+    sub-interval integrated, the [theta, 2 theta] edges included."""
     t = q._table
     _, a, b = ivp._subdivide(q._splits(t, np.array([theta])), ivp._PROFILE_INTERVALS)
-    tt = theta * theta
-    seg = q._inv_rho_integrals(t, a, b, np.full(a.size, tt))
-    y = np.concatenate([[0.0], np.cumsum(seg[::-1])])
-    w = np.append(a, theta)[::-1]
-    slope = -q.spec.pair.rho.value(q._T_of_w(t, tt, w))
+    seg = q._inv_rho_integrals(t, a, b, np.full(a.size, theta))
+    y = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.concatenate([[0.0], b])
+    slope = q.spec.pair.rho.value(q._T_of_s(t, theta, s))
     keep = np.concatenate([[True], np.diff(y) > 0])
-    w_out = CubicHermiteSpline(y[keep], w[keep], slope[keep])(
+    s_out = CubicHermiteSpline(y[keep], s[keep], slope[keep])(
         np.linspace(0.0, y[-1], n_out + 1))
-    return q._T_of_w(t, tt, w_out), float(y[-1])
+    return q._T_of_s(t, theta, s_out), float(y[-1])
 
 
 def _mirror_cases():
@@ -387,6 +387,27 @@ def test_table_taken_before_an_extension_still_gives_the_same_y_c():
         for t in (old, q._table):
             np.testing.assert_array_equal(q._y_c_chunk(t, thetas), first, str(idx))
         np.testing.assert_array_equal(q.y_c(thetas), first, str(idx))
+
+
+def test_splits_take_only_the_kinks_some_theta_reaches():
+    # rho a 9-knot table on [0.5, 4.5] K: one knot inside (T_c, T_h), one at
+    # T_h, five above it once the grid is extended
+    knots = [(0.5 * (i + 1), 1.0 + 0.25 * (i % 3)) for i in range(9)]
+    pair = tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.table(knots), alpha0=1.0)
+    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
+    s = math.sqrt(2.0 * q.spec.rk)
+    thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0])
+    first = q.y_c(thetas)
+    q.y_c(10.0)  # W(4.5) - W(T_h) < 50: every knot inside the grid
+    t = q._table
+    assert sum(q_k < 0 for q_k in t.kink_q) == 1 and len(t.kink_q) == 7
+    # theta <= 0: 0, I, two absent mirror ends and the one kink below T_h
+    assert q._splits(t, thetas).shape == (4, 4 + 2 * 1)
+    np.testing.assert_array_equal(q.y_c(thetas), first)
+    # theta = 2 reaches the kinks with q_k < 2, the one at T_h included
+    reach = sum(q_k < 2.0 for q_k in t.kink_q)
+    assert 1 < reach < 7
+    assert q._splits(t, np.array([-s, 2.0])).shape == (2, 4 + 2 * reach)
 
 
 def test_threads_sharing_one_quadrature_get_the_single_thread_y_c():

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import tegsolve as tg
-from tegsolve.errors import NonPositiveHotFlux, ScanIncomplete
+from tegsolve.errors import NonPositiveHotFlux
 from tegsolve.ivp import TOL_ENERGY, TOL_ETA
 
 import oracles
@@ -405,14 +405,34 @@ def test_fixed_step_rk4_order():
     assert slope >= 3.95
 
 
-def test_blowup_reported_for_unreachable_scan():
-    # tiny Seebeck voltage against a big load: H cannot come down to |V|
-    # before the scan floor, and no interior bracket exists
+def test_tiny_voltage_against_a_big_load_finds_the_bracketed_root():
+    # tiny Seebeck voltage against a big load: the root sits at theta ~ -5e9,
+    # 3.6e9 sqrt(2r) down; with rho = 1 the mean resistivity is 1, so the
+    # root is the ratio-mode slope at gamma = R_load A_c / (rho L) = 50
     spec = unit_spec(alpha0=1e-8)
     prob = tg.LoadResistanceProblem(spec=spec, R_load=50.0)
-    with pytest.raises(ScanIncomplete) as err:
-        tg.enumerate_solutions(prob)
-    assert err.value.diagnostics is not None
+    res = tg.enumerate_solutions(prob)
+    assert len(res) == 1
+    root = res.roots[0]
+    assert root.theta == pytest.approx(tg.matched_initial_slope(spec, 50.0),
+                                       rel=1e-12, abs=0)
+    assert root.gamma_equiv == pytest.approx(50.0, rel=1e-12)
+    assert not root.tangency
+    assert abs(root.solution.T[-1] - spec.T_c) <= 1e-12 * spec.T_c
+
+
+@pytest.mark.parametrize("alpha0", [1e-3, 1e-5, 1e-7, 1e-8, 1e-10, 1e-12])
+def test_unit_leg_at_tiny_alpha0_matches_the_exact_parabola(alpha0):
+    # theta* = c/2 - 1/c with c = alpha0/2 lies up to 1.4e12 sqrt(2r) below
+    # 0; the quadrature in the drop s = theta - w does not cancel there
+    spec = unit_spec(alpha0=alpha0)
+    sol = tg.solve_ratio_mode(spec, 1.0)
+    c = 0.5 * alpha0  # = |J| = y_c on this leg (rho = kappa = 1, gamma = 1)
+    assert abs(sol.y_c - c) <= 1e-12 * c
+    rep = tg.verify_solution(sol, spec)
+    assert rep.nonlocal_residual <= 1e-12 * abs(sol.J)
+    T_exact = spec.T_h + (0.5 * c * c - 1.0) * sol.x - 0.5 * (c * sol.x) ** 2
+    assert np.max(np.abs(sol.T - T_exact)) <= 1e-12 * spec.T_h
 
 
 def test_ratio_mode_where_rho_kappa_stalls_above_T_h():

@@ -11,7 +11,8 @@ import tegsolve as tg
 from tegsolve.errors import DomainError, InvalidMaterial
 
 import oracles
-from helpers import three_solution_problem, two_solution_problem, unit_spec
+from helpers import (random_spec, three_solution_problem, two_solution_problem,
+                     unit_spec)
 
 
 ALPHA_3 = (-1.5 * math.sqrt(3) + 2.5 * math.sqrt(19)
@@ -134,7 +135,7 @@ def test_two_solution_enumeration_flags_tangency():
     assert tangent.R_total == pytest.approx(11.69, abs=0.01)
 
 
-@pytest.mark.parametrize("scan_samples", [2124, 2697, 2899])
+@pytest.mark.parametrize("scan_samples", [2109, 2269, 2923])
 def test_crossing_pair_at_the_tangency_is_one_flagged_root(scan_samples):
     # at these resolutions a grid node falls inside the quadrature H's dip
     # (~1.5e-5 wide, 2.7e-11 deep) below |V| at the tangency, so the scan
@@ -191,9 +192,29 @@ def test_scan_diagnostics_recorded():
     assert d.n_samples == 2048
     assert d.theta_grid.shape == (2048,)
     assert d.H_values.shape == (2048,)
-    assert d.theta_hi == pytest.approx(ALPHA_3)
+    # rho_min = 2 on [T_c, T_h] and S_load = 8: theta_lo is the matched slope
+    # with I = |V| / (2 (1 + 8 / 2)), and r = 2
+    c = ALPHA_3 / 10.0
+    assert d.theta_lo == pytest.approx(0.5 * c - 2.0 / c, rel=1e-14)
+    assert d.theta_hi == 0.5 * ALPHA_3
     assert d.n_sign_changes == 3
-    assert not d.floor_hit
+
+
+def test_scan_window_brackets_the_level_on_random_legs():
+    # H <= |V|/2 at theta_lo and H >= I(|V|/2) > |V| at theta_hi; a
+    # two-sample scan reads H at exactly those two ends
+    rng = np.random.default_rng(100)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        R_h = spec.pair.rho.value(spec.T_h) * spec.L / spec.A_c
+        for load in (0.1, 1.0, 10.0):
+            prob = tg.LoadResistanceProblem(spec=spec, R_load=load * R_h)
+            res = tg.enumerate_solutions(prob, scan_samples=2)
+            H_lo, H_hi = res.scan_diagnostics.H_values
+            V = abs(spec.V)
+            assert H_lo <= 0.5 * V * (1.0 + 1e-12), (idx, load)
+            assert H_hi > V, (idx, load)
+            assert len(res) == 1, (idx, load)
 
 
 def test_scan_samples_below_two_rejected():
