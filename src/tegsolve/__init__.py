@@ -57,7 +57,6 @@ from .ivp import (
     HittingTimeQuadrature,
     ResidualReport,
     TemperatureSolution,
-    numeric_efficiency,
     solve_ratio_mode,
     verify_solution,
 )
@@ -68,8 +67,6 @@ from .loadmode import (
     ScanDiagnostics,
     SolutionSet,
     H_of_theta,
-    clamped_H,
-    clamped_hitting_time,
     construct_nonunique_example,
     enumerate_solutions,
 )

@@ -65,8 +65,7 @@ def _solution_meta(sol: ivp.TemperatureSolution, spec: GeneratorSpec) -> dict:
     """Every scalar field of sol that is set, eta_numeric as "eta", and V."""
     meta = {f.name: getattr(sol, f.name) for f in fields(sol)
             if f.name not in ("x", "T", "q") and getattr(sol, f.name) is not None}
-    meta["eta"] = meta.pop("eta_numeric")
-    return dict(meta, V=spec.V)
+    return dict(meta, eta=sol.eta_numeric, V=spec.V)
 
 
 def _write_solution(outdir: Path, stem: str, sol: ivp.TemperatureSolution,
@@ -182,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--scan-samples", type=int, default=None,
-                       help="theta-scan resolution override (multiplicity)")
         p.add_argument("--dump-config", action="store_true",
                        help="print the normalized config and exit")
     return parser
@@ -205,12 +202,10 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        # command-line overrides go through the same validation as the file
+        # the --out override goes through the same validation as the file
         data = io.load_config(args.config).to_json()
         if args.out is not None:
             data["output_dir"] = args.out
-        if args.scan_samples is not None:
-            data["tolerances"]["scan_samples"] = args.scan_samples
         cfg = io.config_from_dict(data)
     except ConfigError as exc:
         return _error_record(exc, EXIT_CONFIG)

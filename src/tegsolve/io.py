@@ -101,9 +101,6 @@ def config_from_dict(data: dict) -> RunConfig:
         _require(k in mode, f"{mtype} mode needs {k!r}")
     tol = d.get("tolerances", {})
     _require(isinstance(tol, dict), "'tolerances' must be an object")
-    _require("tol_ode" not in tol,
-             "'tolerances.tol_ode' no longer applies: profiles come from the "
-             "phase-space quadrature, which integrates no ODE")
     reject_unknown("'tolerances'", tol, TOLERANCES, ConfigError)
     d["mode"] = {k: v if k == "type" else number(f"{mtype} mode's {k!r}", v,
                                                  ConfigError, whole=k == "n")

@@ -56,8 +56,7 @@ class TemperatureSolution:
     """Reconstructed physical profile with its electrical state.
 
     grid columns x, T, q are equally spaced in x; J is signed like V and
-    satisfies |J| = y_c / L; R_total includes the external load; eta_numeric
-    is the flux-ratio efficiency (q_h - q_c) / q_h.
+    satisfies |J| = y_c / L; R_total includes the external load.
     """
 
     x: np.ndarray
@@ -69,9 +68,22 @@ class TemperatureSolution:
     R_total: float
     q_h: float
     q_c: float
-    eta_numeric: float
     gamma: float | None = None
     R_load: float | None = None
+
+    @property
+    def eta_numeric(self) -> float:
+        """Flux-ratio efficiency (q_h - q_c) / q_h.
+
+        Zero current generates nothing and gives 0.  A non-positive hot-side
+        flux is reported, not clamped: it flags a regime where the device
+        heats the hot reservoir and the ratio is meaningless.
+        """
+        if self.J == 0:
+            return 0.0
+        if self.q_h <= 0:
+            raise NonPositiveHotFlux(f"hot-side flux q_h={self.q_h} is not positive")
+        return (self.q_h - self.q_c) / self.q_h
 
 
 def _check_n_out(n_out: int) -> None:
@@ -101,7 +113,7 @@ def _k_linear_solution(spec: GeneratorSpec, gamma: float,
     return TemperatureSolution(
         x=x, T=T, q=q, theta=(spec.u_c - spec.u_h) / spec.L, y_c=0.0, J=0.0,
         R_total=(1.0 + gamma) * R_int, q_h=float(q[0]), q_c=float(q[-1]),
-        eta_numeric=0.0, gamma=gamma,
+        gamma=gamma,
     )
 
 
@@ -119,20 +131,6 @@ def solve_ratio_mode(spec: GeneratorSpec, gamma: float, *,
         return _k_linear_solution(spec, gamma, n_out)
     return HittingTimeQuadrature(spec).materialize(
         matched_initial_slope(spec, gamma), gamma=gamma, n_out=n_out)
-
-
-def numeric_efficiency(sol: TemperatureSolution) -> float:
-    """Flux-ratio efficiency (q_h - q_c) / q_h of a reconstructed solution.
-
-    Zero current generates nothing and returns 0.  A non-positive hot-side
-    flux is reported, not clamped: it flags a regime where the device heats
-    the hot reservoir and the ratio is meaningless.
-    """
-    if sol.J == 0:
-        return 0.0
-    if sol.q_h <= 0:
-        raise NonPositiveHotFlux(f"hot-side flux q_h={sol.q_h} is not positive")
-    return (sol.q_h - sol.q_c) / sol.q_h
 
 
 @dataclass(frozen=True)
@@ -415,10 +413,8 @@ class HittingTimeQuadrature:
         R_int = spec.L * shooting_function(spec, theta) / (y_c * spec.A_c)
         R_total = (1.0 + gamma) * R_int if R_load is None else R_int + R_load
         q = (s_out - theta) * absJ + spec.alpha0 * T * J
-        q_h, q_c = float(q[0]), float(q[-1])
         return TemperatureSolution(
             x=np.linspace(0.0, spec.L, n_out + 1), T=T, q=q,
             theta=theta, y_c=y_c, J=J, R_total=R_total,
-            q_h=q_h, q_c=q_c, eta_numeric=(q_h - q_c) / q_h,
-            gamma=gamma, R_load=R_load,
+            q_h=float(q[0]), q_c=float(q[-1]), gamma=gamma, R_load=R_load,
         )

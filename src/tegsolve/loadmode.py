@@ -16,8 +16,9 @@ refines every sign change, flags near-tangent stationary points, and
 materializes each root into a full temperature solution.
 
 For a constant kappa and a resistivity clamped linear above the hot end the
-trajectory is an explicit trig/parabola splice; those closed forms are kept
-here as cross-checks and as the generator of the worked nonuniqueness setup.
+trajectory is an explicit trig/parabola splice, so H(theta) has a closed
+form; construct_nonunique_example picks its parameters so that H(theta1) is
+explicit and descending, which guarantees several steady states.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .analytic import GeneratorSpec, matched_initial_slope, shooting_function
 from .errors import DegenerateError, DomainError, InvalidMaterial, ZeroVoltage
-from .ivp import (
-    N_OUT,
-    HittingTimeQuadrature,
-    TemperatureSolution,
-    numeric_efficiency,
-)
+from .ivp import N_OUT, HittingTimeQuadrature, TemperatureSolution
 from .materials import ClampedLinear, Constant, MaterialPair, segment_nodes
 
 TOL_ROOT = 1e-9        # |H(theta) - |V|| at accepted simple roots
@@ -73,10 +69,8 @@ def H_of_theta(prob: LoadResistanceProblem, theta):
     energy quadrature; a float for scalar theta, an array for an array."""
     if prob.spec.V == 0:
         raise ZeroVoltage("H(theta) needs V != 0")
-    I = shooting_function(prob.spec, theta)
-    if prob.S_load == 0.0:
-        return I
-    return I + prob.S_load * prob._quadrature.y_c(theta)
+    return (shooting_function(prob.spec, theta)
+            + prob.S_load * prob._quadrature.y_c(theta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +135,16 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
 
     A grid extremum whose neighbours lie on one side of the level (else it
     sits beside a lone crossing), within one cell's rise of the level (within
-    TOL_TANGENCY if it lies across, else its crossing pair is two roots), is
-    refined by minimising g^2 between the neighbours.  If |g| <= TOL_TANGENCY
-    there, it is a flagged (tangency) root that owns its run of grid points
-    with |g| <= TOL_TANGENCY plus one on each side.  Each sign change it does
-    not own is a simple root, refined by Brent's method to |g| <= TOL_ROOT (a
-    note records one that stays above).  Raises DomainError for scan_samples
-    < 2.
+    the tangency tolerance if it lies across, else its crossing pair is two
+    roots), is refined by minimising side * g between the neighbours (side =
+    +1 if they lie above the level, else -1).  Within the tangency tolerance
+    there, it is a flagged root that owns its run of grid points that close to
+    the level plus one on each side; further across while the grid extremum
+    is not, it splits two simple roots the grid misses.  Those and each sign
+    change no tangency owns are refined by Brent's method to the root
+    tolerance (a note records one that stays above).  TOL_TANGENCY, TOL_ROOT
+    and the theta tolerances are scaled by min(1, |V|).  Raises DomainError
+    for scan_samples < 2.
     """
     spec = prob.spec
     if spec.V == 0:
@@ -173,37 +170,46 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
 
     notes: list[str] = []
     found: list[tuple[float, bool, float]] = []  # (theta, tangency, |residual|)
+    scale = min(1.0, target)
+    tol_tangency, tol_root = TOL_TANGENCY * scale, TOL_ROOT * scale
+
+    def refine(lo, hi):
+        # prob goes in args: brentq's wrapper is a reference cycle, and a
+        # closure over prob would keep its quadrature until a gc pass
+        th = brentq(lambda t, p: H_of_theta(p, t) - target, lo, hi, args=(prob,),
+                    xtol=1e-13 * max(scale, abs(lo) + abs(hi)),
+                    rtol=4 * np.finfo(float).eps, maxiter=200)
+        res = g(th)
+        if abs(res) > tol_root:
+            notes.append(f"root at theta={th:.6g} stuck at residual {res:.3e}")
+        found.append((th, False, abs(res)))
+
     ext = np.flatnonzero(dg[:-1] * dg[1:] < 0.0) + 1
     rise = np.where(negative[ext] == negative[ext - 1],
                     np.maximum(np.abs(dg[ext - 1]), np.abs(dg[ext])), 0.0)
-    candidates = ext[(np.abs(gv[ext]) <= rise + TOL_TANGENCY)
+    candidates = ext[(np.abs(gv[ext]) <= rise + tol_tangency)
                      & (negative[ext - 1] == negative[ext + 1])]
-    far = np.r_[0, np.flatnonzero(np.abs(gv) > TOL_TANGENCY), scan_samples - 1]
+    far = np.r_[0, np.flatnonzero(np.abs(gv) > tol_tangency), scan_samples - 1]
     owned = np.zeros(scan_samples, dtype=bool)
     for i in candidates:
-        res = minimize_scalar(lambda t: g(t) ** 2,
-                              bounds=(float(grid[i - 1]), float(grid[i + 1])),
-                              method="bounded", options={"xatol": 1e-12})
-        th = float(res.x)
-        val = abs(g(th))
-        if val <= TOL_TANGENCY:
-            found.append((th, True, val))
-            lo, hi = np.searchsorted(far, i), np.searchsorted(far, i, side="right")
-            owned[far[lo - 1]:far[hi] + 1] = True
+        side = -1.0 if negative[i - 1] else 1.0
+        lo, hi = float(grid[i - 1]), float(grid[i + 1])
+        th = float(minimize_scalar(lambda t: side * g(t), bounds=(lo, hi),
+                                   method="bounded",
+                                   options={"xatol": 1e-12 * scale}).x)
+        val = side * g(th)
+        if abs(val) <= tol_tangency:
+            found.append((th, True, abs(val)))
+            a, b = np.searchsorted(far, i), np.searchsorted(far, i, side="right")
+            owned[far[a - 1]:far[b] + 1] = True
+        elif val < 0.0 and negative[i] == negative[i - 1]:
+            refine(lo, th)
+            refine(th, hi)
 
     cells = np.flatnonzero(negative[:-1] != negative[1:])
     merged = owned[cells] & owned[cells + 1]
     for i in cells[~merged]:
-        # prob goes in args: brentq's wrapper is a reference cycle, and a
-        # closure over prob would keep its quadrature until a gc pass
-        th = brentq(lambda t, p: H_of_theta(p, t) - target, float(grid[i]),
-                    float(grid[i + 1]), args=(prob,),
-                    xtol=1e-13 * max(1.0, abs(grid[i]) + abs(grid[i + 1])),
-                    rtol=4 * np.finfo(float).eps, maxiter=200)
-        res = g(th)
-        if abs(res) > TOL_ROOT:
-            notes.append(f"root at theta={th:.6g} stuck at residual {res:.3e}")
-        found.append((th, False, abs(res)))
+        refine(float(grid[i]), float(grid[i + 1]))
     roots = sorted(found, key=lambda t: t[0])
 
     diagnostics = ScanDiagnostics(
@@ -219,34 +225,10 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
         R_int = sol.R_total - prob.R_load
         records.append(RootRecord(
             theta=th, y_c=sol.y_c, R_total=sol.R_total,
-            gamma_equiv=prob.R_load / R_int, eta=numeric_efficiency(sol),
+            gamma_equiv=prob.R_load / R_int, eta=sol.eta_numeric,
             tangency=tang, H_residual=res, solution=sol,
         ))
     return SolutionSet(roots=tuple(records), scan_diagnostics=diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the clamped-resistivity construction (constant kappa,
-# rho-hat(u) = rho_hat_h + M_hat * (u - u_h) for u >= u_h, constant below).
-# The trajectory is a trigonometric arc above u_h glued to a parabola below;
-# these are used as cross-checks and to build the worked nonuniqueness case.
-# ---------------------------------------------------------------------------
-
-def clamped_hitting_time(rho_hat_h: float, M_hat: float, delta_u: float,
-                         theta: float) -> float:
-    """Exact y_c(theta) for the clamped profile."""
-    disc = math.sqrt(theta * theta + 2.0 * rho_hat_h * delta_u)
-    if theta <= 0:
-        return (theta + disc) / rho_hat_h
-    sq = math.sqrt(M_hat)
-    return 2.0 / sq * math.atan(sq * theta / rho_hat_h) + (disc - theta) / rho_hat_h
-
-
-def clamped_H(rho_hat_h: float, M_hat: float, delta_u: float, S_load: float,
-              theta: float) -> float:
-    """Exact H(theta) for the clamped profile (r = rho_hat_h * delta_u)."""
-    I = theta + math.sqrt(theta * theta + 2.0 * rho_hat_h * delta_u)
-    return I + S_load * clamped_hitting_time(rho_hat_h, M_hat, delta_u, theta)
 
 
 @dataclass(frozen=True)
@@ -273,8 +255,10 @@ def construct_nonunique_example(kappa, T_h: float, T_c: float, rho_h: float, *,
     Choices: theta1 with theta1/sqrt(theta1^2 + 2 rho_h du) = 1/2 (i.e.
     theta1^2 = 2 rho_h du / 3), ramp slope with M_hat theta1^2 / rho_h^2 = 16,
     and S_load / rho_h = load_over_rho > 51/13, which makes
-    H'(theta1) = 3/2 - (13/34) * S_load/rho_h negative.  The voltage is set to
-    |V| = H(theta1) exactly, so theta1 is a root by construction.
+    H'(theta1) = 3/2 - (13/34) * S_load/rho_h negative.  Then I(theta1) =
+    3 theta1 and y_c(theta1) = (theta1 / rho_h) (1 + atan(4) / 2), and the
+    voltage is set to |V| = H(theta1) exactly, so theta1 is a root by
+    construction.
     """
     if not isinstance(kappa, Constant):
         raise InvalidMaterial(
@@ -294,7 +278,7 @@ def construct_nonunique_example(kappa, T_h: float, T_c: float, rho_h: float, *,
     theta1 = math.sqrt(2.0 * rho_h * du / 3.0)
     M_hat = 16.0 * rho_h * rho_h / (theta1 * theta1)
     S_load = load_over_rho * rho_h
-    alpha0 = clamped_H(rho_h, M_hat, du, S_load, theta1) / (T_h - T_c)
+    alpha0 = theta1 * (3.0 + load_over_rho * (1.0 + 0.5 * math.atan(4.0))) / (T_h - T_c)
     rho = ClampedLinear(M=M_hat * kappa.c, T_pivot=T_h, v_pivot=rho_h)
     spec = GeneratorSpec(pair=MaterialPair(kappa=kappa, rho=rho, alpha0=alpha0),
                          T_h=T_h, T_c=T_c, L=L, A_c=A_c)

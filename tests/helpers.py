@@ -12,6 +12,8 @@ from scipy.integrate import quad
 
 import tegsolve as tg
 
+import oracles
+
 RHO_FAMILIES = ("constant", "linear", "reciprocal", "log_affine",
                 "clamped_linear", "table", "wiedemann_franz")
 KAPPA_FAMILIES = ("constant", "reciprocal", "linear", "table",
@@ -46,7 +48,7 @@ def two_solution_problem():
                     + 8.0 / (1.0 + 12.0 * t * t))
     from scipy.optimize import brentq
     th1 = brentq(hp, 1.0, 1.45, xtol=1e-15)
-    alpha0 = tg.clamped_H(2.0, 48.0, 1.0, 8.0, th1)
+    alpha0 = oracles.clamped_H(2.0, 48.0, 1.0, 8.0, th1)
     pair = tg.MaterialPair(
         kappa=tg.constant(1.0),
         rho=tg.clamped_linear(M=48.0, T_pivot=2.0, v_pivot=2.0),

@@ -14,7 +14,10 @@ share no code with the quadrature, which makes them oracles for it:
 * integrate_fixed_step: classical RK4 with a controlled step, for order studies;
 * shooting_integral: \\int_0^{y_c} rho dy along an RK45 trajectory;
 * H_of_theta_ivp: the fixed-load constraint with y_c from RK45;
-* clamped_profile_u: the exact u(y) of the clamped-resistivity leg.
+* clamped_hitting_time, clamped_H, clamped_profile_u: the exact y_c(theta),
+  H(theta) and u(y) of the clamped-resistivity leg (constant kappa,
+  rho_hat(u) = rho_hat_h + M_hat (u - u_h) for u >= u_h, constant below),
+  whose trajectory is a trigonometric arc above u_h glued to a parabola.
 """
 
 from __future__ import annotations
@@ -264,6 +267,23 @@ def H_of_theta_ivp(prob, theta: float) -> float:
     if prob.S_load == 0.0:
         return I
     return I + prob.S_load * integrate_ivp(prob.spec, theta).y_c
+
+
+def clamped_hitting_time(rho_hat_h: float, M_hat: float, delta_u: float,
+                         theta: float) -> float:
+    """Exact y_c(theta) for the clamped profile."""
+    disc = math.sqrt(theta * theta + 2.0 * rho_hat_h * delta_u)
+    if theta <= 0:
+        return (theta + disc) / rho_hat_h
+    sq = math.sqrt(M_hat)
+    return 2.0 / sq * math.atan(sq * theta / rho_hat_h) + (disc - theta) / rho_hat_h
+
+
+def clamped_H(rho_hat_h: float, M_hat: float, delta_u: float, S_load: float,
+              theta: float) -> float:
+    """Exact H(theta) for the clamped profile (r = rho_hat_h * delta_u)."""
+    I = theta + math.sqrt(theta * theta + 2.0 * rho_hat_h * delta_u)
+    return I + S_load * clamped_hitting_time(rho_hat_h, M_hat, delta_u, theta)
 
 
 def clamped_profile_u(u_h: float, rho_hat_h: float, M_hat: float,

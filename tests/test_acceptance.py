@@ -70,7 +70,7 @@ def test_03_closed_form_vs_numeric_efficiency():
             spec = random_spec(rng, idx)
             gamma = rng.uniform(0.0, 5.0)
             sol = tg.solve_ratio_mode(spec, gamma)
-            eta_num = tg.numeric_efficiency(sol)
+            eta_num = sol.eta_numeric
             eta_cf = tg.efficiency(spec, gamma)
             assert abs(eta_num - eta_cf) <= 1e-6, (idx, eta_num, eta_cf)
         elapsed = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, output files, determinism."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -274,22 +275,6 @@ def test_material_number_given_as_text_or_bool_exit_code_and_record(
     assert not (tmp_path / "out").exists()
 
 
-def test_scan_samples_below_two_exit_code_and_record(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        material_file=str(CONFIG_DIR / "materials" / "clamped_three_solutions.json"),
-        mode={"type": "multiplicity", "R_load": 8.0},
-    )
-    # the override goes through the same validation as the config file's value
-    code = cli.main(["multiplicity", "--config", str(cfg), "--scan-samples", "1"])
-    assert code == cli.EXIT_CONFIG
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ConfigError"
-    assert "scan_samples" in record["message"]
-    assert record["exit_code"] == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
-
-
 def test_degenerate_report_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, T_h=1.0, T_c=1.0)
     code = cli.main(["report", "--config", str(cfg)])
@@ -313,10 +298,10 @@ def test_multiplicity_outputs_byte_identical(tmp_path):
 
 def test_cli_overrides_reach_config(tmp_path, capsys):
     cfg = _write_config(tmp_path)
-    assert cli.main(["multiplicity", "--config", str(cfg), "--scan-samples",
-                     "512", "--dump-config"]) == 0
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--dump-config"]) == 0
     dumped = json.loads(capsys.readouterr().out)
-    assert dumped["tolerances"]["scan_samples"] == 512
+    assert dumped["output_dir"] == str(tmp_path / "o")
 
 
 def test_tol_ode_rejected(tmp_path, capsys):
@@ -324,7 +309,7 @@ def test_tol_ode_rejected(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError"
-    assert "tol_ode" in record["message"] and "quadrature" in record["message"]
+    assert record["message"].startswith("unknown key(s) 'tol_ode' in 'tolerances'")
     with pytest.raises(SystemExit):
         cli.main(["solve", "--config", str(cfg), "--tol-ode", "1e-9"])
 
@@ -528,6 +513,16 @@ def test_whole_float_count_is_accepted(tmp_path, capsys):
     assert dumped["tolerances"] == {"n_out": 8, "sweep_n": 3}
 
 
+@pytest.mark.parametrize("command", ["solve", "report", "sweep", "multiplicity"])
+def test_subcommand_options_are_config_out_and_dump_config(command):
+    # every setting lives in the config file; the command line only names
+    # the file, redirects the output and dumps the normalised config
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--out", "--dump-config"}
+
+
 def test_one_parser_serves_consecutive_calls(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     cfg = _write_config(
@@ -535,10 +530,10 @@ def test_one_parser_serves_consecutive_calls(tmp_path, capsys):
         material_file=str(CONFIG_DIR / "materials" / "clamped_three_solutions.json"),
         mode={"type": "multiplicity", "R_load": 8.0},
     )
-    assert cli.main(["multiplicity", "--config", str(cfg), "--scan-samples", "77",
-                     "--dump-config"]) == 0
-    assert json.loads(capsys.readouterr().out)["tolerances"] == {"scan_samples": 77}
-    # no override: the next call scans at the default resolution
+    assert cli.main(["multiplicity", "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["output_dir"] == str(tmp_path / "o")
+    # no override: the next call writes to the config's own directory
     assert cli.main(["multiplicity", "--config", str(cfg)]) == 0
     h_curve = (tmp_path / "out" / "h_curve.csv").read_text().splitlines()
     assert len(h_curve) == 1 + loadmode.SCAN_SAMPLES

@@ -10,15 +10,18 @@ environment that wrote out/):
   the phase-space quadrature; the two agree to ~3e-11.
 * gamma_equiv = R_load / (R_total - R_load) multiplies R_total's relative
   error by R_total / R_int, under 3 in these legs (measured 4.1e-11).
-* The tangency root minimises (H - |V|)^2, which fixes theta only to about
-  sqrt(eps) of the scale; its whole row drifts up to 1.054e-9 (theta).
+* The tangency root is the minimiser of +-(H - |V|), whose flatness fixes
+  theta only to about sqrt(eps) of the scale; TANGENCY_ROOT_REL bounds its
+  whole row (the drift of the earlier g^2 minimiser was 1.054e-9).
 
-Both h_curve.csv files, and the two_solutions tangency row with its profile,
-were rewritten by the phase-space quadrature when the scan window became the
-closed-form bracket [theta_lo, |V|/2]: the theta grid is new, and the
-minimiser of (H - |V|)^2 between new grid neighbours moved 1.1e-8 relative,
-still on the same crossing of the dip in H below |V|, 7.9e-6 from the exact
-stationary point.  Every other row is as first written.
+Both h_curve.csv files were rewritten by the phase-space quadrature when the
+scan window became the closed-form bracket [theta_lo, |V|/2].  The
+two_solutions tangency row and its profile (solution_001.csv and .meta.json)
+were rewritten when the tangency refinement changed from minimising
+(H - |V|)^2, which landed on one crossing of the 2.7e-11-deep dip of the
+quadrature H below |V|, 6.6e-6 relative from the exact stationary point, to
+minimising H - |V| itself, which lands 9e-9 from it (the flatness limit).
+Every other row is as first written.
 """
 
 import csv
@@ -28,6 +31,8 @@ import numpy as np
 import pytest
 
 from tegsolve import cli
+
+from helpers import two_solution_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +82,16 @@ def test_roots_match_reference(run):
                 continue
             rel = TANGENCY_ROOT_REL if w_row[tangency] else ROOT_REL[name]
             assert g_row[i] == pytest.approx(w_row[i], rel=rel, abs=0), name
+
+
+def test_tangency_root_is_the_stationary_point(run):
+    # the two_solutions tangency against the exact stationary point of the
+    # clamped closed form H, in the fresh run and in the reference;
+    # three_solutions has no tangency
+    out, ref = run
+    _, th1 = two_solution_problem()
+    want = [th1] if ref.name == "two_solutions" else []
+    for path in (out, ref):
+        header, rows = _read(path / "multiplicity.csv")
+        thetas = rows[rows[:, header.index("tangency")] == 1, header.index("theta")]
+        assert thetas.tolist() == pytest.approx(want, rel=1e-7, abs=0)

@@ -1,5 +1,6 @@
 """Trajectory integration, reconstruction, residuals and cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -281,23 +282,24 @@ def test_solve_negative_alpha_matches_positive():
 def test_numeric_efficiency_values():
     spec = unit_spec()
     sol = tg.solve_ratio_mode(spec, 1.0)
-    assert tg.numeric_efficiency(sol) == pytest.approx(2.0 / 15.0, abs=1e-6)
+    assert sol.eta_numeric == pytest.approx(2.0 / 15.0, abs=1e-6)
     _, gamma_opt = tg.max_efficiency(spec)
     sol = tg.solve_ratio_mode(spec, gamma_opt)
-    assert tg.numeric_efficiency(sol) == pytest.approx(
-        tg.max_efficiency(spec)[0], abs=1e-6)
+    assert sol.eta_numeric == pytest.approx(tg.max_efficiency(spec)[0], abs=1e-6)
     zero = tg.solve_ratio_mode(unit_spec(T_h=1.0, T_c=1.0), 1.0)
-    assert tg.numeric_efficiency(zero) == 0.0
+    assert zero.eta_numeric == 0.0
 
 
 def test_numeric_efficiency_rejects_nonpositive_hot_flux():
-    sol = tg.solve_ratio_mode(unit_spec(), 1.0)
-    bad = tg.TemperatureSolution(
-        x=sol.x, T=sol.T, q=sol.q, theta=sol.theta, y_c=sol.y_c, J=sol.J,
-        R_total=sol.R_total, q_h=-1.0, q_c=sol.q_c, eta_numeric=0.0,
-        gamma=sol.gamma)
-    with pytest.raises(NonPositiveHotFlux):
-        tg.numeric_efficiency(bad)
+    # unit leg: q_h = |J| (alpha0 T_h - theta) is 0 at theta = 2 and negative
+    # above; the flux ratio is no efficiency there
+    quadrature = tg.HittingTimeQuadrature(unit_spec())
+    for bad in (dataclasses.replace(tg.solve_ratio_mode(unit_spec(), 1.0), q_h=-1.0),
+                quadrature.materialize(2.0, gamma=1.0),
+                quadrature.materialize(2.5, gamma=1.0)):
+        assert bad.q_h <= 0
+        with pytest.raises(NonPositiveHotFlux):
+            bad.eta_numeric
 
 
 def test_oracle_equivalence_sample():
@@ -358,10 +360,7 @@ def test_verify_solution_detects_corruption():
     sol = tg.solve_ratio_mode(spec, 1.0)
     T_bad = sol.T.copy()
     T_bad[len(T_bad) // 2] += 1e-3
-    bad = tg.TemperatureSolution(
-        x=sol.x, T=T_bad, q=sol.q, theta=sol.theta, y_c=sol.y_c, J=sol.J,
-        R_total=sol.R_total, q_h=sol.q_h, q_c=sol.q_c,
-        eta_numeric=sol.eta_numeric, gamma=sol.gamma)
+    bad = dataclasses.replace(sol, T=T_bad)
     rep = tg.verify_solution(bad, spec)
     assert rep.ode_residual > 1.0  # 1e-3 bump against h^2 ~ 1.5e-5
 

@@ -30,7 +30,7 @@ def test_H_worked_value_at_sqrt3_over_2():
     assert ALPHA_3 == pytest.approx(11.18, abs=5e-3)
     assert tg.H_of_theta(prob, th1) == pytest.approx(ALPHA_3, rel=1e-9)
     assert oracles.H_of_theta_ivp(prob, th1) == pytest.approx(ALPHA_3, rel=1e-7)
-    assert tg.clamped_H(2.0, 48.0, 1.0, 8.0, th1) == pytest.approx(ALPHA_3, rel=1e-14)
+    assert oracles.clamped_H(2.0, 48.0, 1.0, 8.0, th1) == pytest.approx(ALPHA_3, rel=1e-14)
 
 
 def test_H_reduces_to_shooting_function_without_load():
@@ -49,7 +49,7 @@ def test_clamped_closed_forms_cross_check():
     prob = three_solution_problem()
     q = tg.HittingTimeQuadrature(prob.spec)
     for th in (-2.0, -0.4, 0.0, 0.5, 0.866, 1.5, 3.0):
-        exact = tg.clamped_hitting_time(2.0, 48.0, 1.0, th)
+        exact = oracles.clamped_hitting_time(2.0, 48.0, 1.0, th)
         assert q.y_c(th) == pytest.approx(exact, rel=1e-10)
         assert oracles.integrate_ivp(prob.spec, th, tol_ode=1e-12).y_c == pytest.approx(
             exact, rel=1e-9)
@@ -143,23 +143,52 @@ def test_crossing_pair_at_the_tangency_is_one_flagged_root(scan_samples):
     prob, th_stationary = two_solution_problem()
     res = tg.enumerate_solutions(prob, scan_samples=scan_samples)
     assert [r.tangency for r in res.roots] == [False, True]
-    assert res.roots[1].theta == pytest.approx(th_stationary, abs=1e-4)
+    assert res.roots[1].theta == pytest.approx(th_stationary, rel=1e-7)
     d = res.scan_diagnostics
     assert d.notes == ()
     assert d.merged_roots == 2
 
 
-@pytest.mark.parametrize("scan_samples", [33, 100])
+@pytest.mark.parametrize("scan_samples", [11, 14, 33, 100])
 def test_simple_root_beside_a_grid_extremum_is_not_a_tangency(scan_samples):
     # on these grids a grid extremum of H sits beside a lone crossing (its
     # neighbours on opposite sides of the level) or between the two
-    # crossings of a dip far deeper than TOL_TANGENCY; g^2 vanishes in its
-    # bracket either way, but the roots are simple
+    # crossings of a dip far deeper than TOL_TANGENCY; at 11 and 14 samples
+    # both crossings of that dip lie inside the extremum's cell pair, so the
+    # grid sees no sign change there.  g^2 vanishes in the bracket in every
+    # case, so a g^2 refinement lands on a crossing, but the roots are simple
     res = tg.enumerate_solutions(three_solution_problem(), scan_samples=scan_samples)
     assert [r.tangency for r in res.roots] == [False, False, False]
     for got, want in zip(res.roots, (0.4024794362, math.sqrt(3.0) / 2.0, 1.4827090416)):
         assert got.theta == pytest.approx(want, abs=1e-9)
         assert got.H_residual <= tg.loadmode.TOL_ROOT
+
+
+def _scaled(prob, lam):
+    """prob with rho and R_load times lam^2 and alpha0 times lam: then
+    H(lam theta) = lam H(theta), so the roots are lam times the original."""
+    spec, rho = prob.spec, prob.spec.pair.rho
+    pair = tg.MaterialPair(
+        kappa=spec.pair.kappa,
+        rho=tg.clamped_linear(M=rho.M * lam ** 2, T_pivot=rho.T_pivot,
+                              v_pivot=rho.v_pivot * lam ** 2),
+        alpha0=spec.pair.alpha0 * lam)
+    spec = tg.GeneratorSpec(pair=pair, T_h=spec.T_h, T_c=spec.T_c, L=spec.L,
+                            A_c=spec.A_c)
+    return tg.LoadResistanceProblem(spec=spec, R_load=prob.R_load * lam ** 2)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("leg", ["three", "two"])
+def test_roots_scale_with_the_leg(leg, lam):
+    # the root tolerances scale with min(1, |V|): absolute ones made both
+    # legs report two tangency roots at lam = 1e-5 and 1e-7
+    prob = three_solution_problem() if leg == "three" else two_solution_problem()[0]
+    base = tg.enumerate_solutions(prob)
+    res = tg.enumerate_solutions(_scaled(prob, lam))
+    assert [r.tangency for r in res.roots] == [r.tangency for r in base.roots]
+    for got, want in zip(res.roots, base.roots):
+        assert got.theta / lam == pytest.approx(want.theta, rel=1e-7)
 
 
 def test_constant_rho_single_root():
