@@ -20,7 +20,12 @@ from 0 at the hot end to I(theta) = theta - w_c at the cold end,
 
 so the hitting time, the profile and the internal resistance all come from
 one quadrature in s (HittingTimeQuadrature).  Neither q(s) nor I(theta)
-cancels for theta <= 0, however far theta lies below -sqrt(2r).
+cancels for theta <= 0, however far theta lies below -sqrt(2r).  Every
+trajectory ends with the same descent from T_h to T_c, where
+p = sqrt(-2 W(T)) runs from 0 to sqrt(2r) and ds = p dp / sqrt(theta^2 + p^2):
+
+    y_c(theta) = C(|theta|) + [theta > 0] 2 \\int_0^theta ds / rho(T(s)),
+    C(tau) = \\int_0^{sqrt(2r)} p dp / (rho(T(p)) sqrt(tau^2 + p^2)).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +55,8 @@ _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan lengt
 _PROFILE_INTERVALS = 512  # GL sub-intervals in w behind one materialised profile
 _N_BASE = 8193     # uniform nodes per W^-1 grid block
 _GL_ORDER = 80     # Gauss-Legendre nodes per sub-interval in w
+_DESCENT_GL_ORDER = 24  # Gauss-Legendre nodes per sub-interval of the descent in p
+_DESCENT_LEVELS = 16    # panels [P 4^-k-1, P 4^-k] graded toward p = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +203,12 @@ def _unmirrored(theta: np.ndarray, owner, a, b):
     return owner[keep], a[keep], b[keep]
 
 
+def _squared(theta: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(tt := theta * theta)):
+        raise NumericalBlowup("theta^2 is not a finite float")
+    return tt
+
+
 def _stall_error(T: float) -> NumericalBlowup:
     return NumericalBlowup(
         f"coupling integral stops growing at T={T:.6g}; "
@@ -216,20 +230,16 @@ class _WTable(NamedTuple):
 
 class HittingTimeQuadrature:
     """Hitting time y_c(theta) and steady states from the phase-space energy
-    identity.
+    identity of the module docstring.
 
-    Along a trajectory the slope w = u_y decreases monotonically, and
-    w^2 = theta^2 - 2 W(T) with W(T) = \\int_{T_h}^{T} rho kappa dT, so in the
-    drop s = theta - w
-
-        y_c(theta) = \\int_0^{I(theta)} ds / rho(W^{-1}(s (2 theta - s) / 2)),
-        I(theta) = theta + sqrt(theta^2 + 2 r).
-
-    The integrand is bounded and piecewise-analytic; panelwise Gauss-Legendre
-    with splits at the s-images of rho/kappa kinks costs a fraction of an ODE
-    solve; accurate unless rho nears 0 just past s = 0 or s = 2 theta.  The
-    inverse of W is cached as a Hermite spline on a kink-aware grid with node
-    values from 8-point Gauss-Legendre per segment and exact node derivatives
+    y_c(theta) = C(|theta|) + [theta > 0] 2 \\int_0^theta ds / rho(T(s)).  The
+    integrand of the descent C, in p, does not depend on theta: its nodes
+    and values are built once (_descent), and a theta costs one kernel
+    product.  Only the excursion above T_h is integrated per theta,
+    panelwise Gauss-Legendre in s split at the s-images of rho/kappa kinks;
+    accurate unless rho nears 0 just past s = 0 or s = 2 theta.  The inverse
+    of W is cached as a Hermite spline on a kink-aware grid with node values
+    from 8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
     every spline interval O(h^4).  The grid is built to T_h, as far as theta
     <= 0 reaches; theta > 0 appends the rest of the first _N_BASE-node block,
@@ -238,7 +248,7 @@ class HittingTimeQuadrature:
     its segment integrals.  Where W stops growing above T_h the grid ends,
     and only a theta that needs W beyond that end raises NumericalBlowup.
     All of it is one _WTable, replaced whole by each extension.  materialize
-    turns the same integrand into a profile.
+    integrates the whole drop in s into a profile.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -334,9 +344,7 @@ class HittingTimeQuadrature:
         copysign(sqrt(theta^2 - 2 q_k), theta) and 2 q_k / b, so neither
         cancels.  Absent split points are set to 0, so they become
         zero-width panels."""
-        tt = theta * theta
-        if not np.all(np.isfinite(tt)):
-            raise NumericalBlowup("theta^2 is not a finite float")
+        tt = _squared(theta)
         I = shooting_function(self.spec, theta)
         up = theta > 0
         cols = [np.zeros_like(theta), I, np.where(up, theta, 0.0),
@@ -363,15 +371,41 @@ class HittingTimeQuadrature:
         inv_rho = 1.0 / self.spec.pair.rho.value(self._T_of_s(t, theta[:, None], s))
         return half * (inv_rho @ weights)
 
+    @cached_property
+    def _descent(self):
+        """Nodes p of C on [h0, P], P = sqrt(2r), p^2, the GL weights times
+        f(p) = 1 / rho(W^{-1}(-p^2 / 2)), h0 and f(0): panels graded by 1/4
+        toward p = 0, split at the kinks' sqrt(-2 q_k) and cut by _subdivide.
+        Built on first use from the table up to T_h, which no extension moves."""
+        t, rho = self._table, self.spec.pair.rho.value
+        P = math.sqrt(2.0 * self.spec.rk)
+        h0 = P * 0.25 ** _DESCENT_LEVELS
+        ends = [P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)] + [
+            p_k for q_k in t.kink_q if q_k < 0 and h0 < (p_k := math.sqrt(-2.0 * q_k)) < P]
+        _, a, b = _subdivide(np.sort(ends)[None, :], 4)
+        nodes, weights = _gauss_legendre(_DESCENT_GL_ORDER)
+        half = 0.5 * (b - a)
+        p = (half[:, None] * nodes + (0.5 * (a + b))[:, None]).ravel()
+        f = 1.0 / rho(t.inv(np.clip(-0.5 * p * p, t.W[0], t.W[-1])))
+        return p, p * p, np.outer(half, weights).ravel() * f, h0, 1.0 / rho(self.spec.T_h)
+
     def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
-        """Panelwise GL integral of 1 / rho(T(s)) over [0, I(theta)] per
-        theta, on _subdivide(_splits(theta), 4), with [0, theta] counted
-        twice in place of its mirror [theta, 2 theta]."""
-        owner, a, b = _unmirrored(theta, *_subdivide(self._splits(t, theta), 4))
-        th = theta[owner]
-        seg = self._inv_rho_integrals(t, a, b, th)
-        seg[a < th] *= 2.0
-        return np.bincount(owner, weights=seg, minlength=theta.size)
+        """C(|theta|) as one kernel product on the nodes of _descent, with
+        f(0) h0^2 / (hypot(h0, tau) + tau) for [0, h0] (f is even in p), plus
+        for theta > 0 the sub-intervals in [0, theta] of
+        _subdivide(_splits(theta), 4), twice in place of [theta, 2 theta]."""
+        tt, tau = _squared(theta), np.abs(theta)
+        p, pp, wf, h0, f0 = self._descent
+        out = (p / np.sqrt(tt[:, None] + pp)) @ wf + f0 * h0 * h0 / (np.hypot(h0, tau) + tau)
+        up = np.flatnonzero(theta > 0)
+        if up.size:
+            th = theta[up]
+            owner, a, b = _subdivide(self._splits(t, th), 4)
+            keep = a < th[owner]
+            owner, a, b = owner[keep], a[keep], b[keep]
+            seg = self._inv_rho_integrals(t, a, b, th[owner])
+            out[up] += 2.0 * np.bincount(owner, weights=seg, minlength=up.size)
+        return out
 
     def materialize(self, theta: float, *, gamma: float | None = None,
                     R_load: float | None = None,

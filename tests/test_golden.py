@@ -21,7 +21,11 @@ were rewritten when the tangency refinement changed from minimising
 (H - |V|)^2, which landed on one crossing of the 2.7e-11-deep dip of the
 quadrature H below |V|, 6.6e-6 relative from the exact stationary point, to
 minimising H - |V| itself, which lands 9e-9 from it (the flatness limit).
-Every other row is as first written.
+They were rewritten again when the descent below T_h became one
+theta-independent quadrature in p = sqrt(-2 W): H moved by at most 5.1e-16
+relative, and the minimiser, which only the flatness of H fixes, moved from
+-9.0e-9 to +1.0e-8 relative of the exact stationary point.  Every other row
+is as first written.
 """
 
 import csv

@@ -19,42 +19,68 @@ import tegsolve as tg
 from tegsolve import ivp, loadmode, materials
 
 import oracles
-from helpers import (make_model, random_spec, three_solution_problem,
+from helpers import (make_model, random_spec, three_solution_problem, unit_spec,
                      two_solution_problem)
 
 REL = 1e-13  # summation order differs from the loop; the arithmetic does not
 TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
+DESCENT_NODES, DESCENT_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
+
+def _sub_intervals(ends, span):
+    """The sub-intervals (a, b) between the sorted ends, cut as _subdivide
+    cuts them: ceil(4 width / span) equal ones per panel."""
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        n_sub = math.ceil(4.0 * (hi - lo) / span)
+        step = (hi - lo) / n_sub
+        edges = [j * step + lo for j in range(n_sub)] + [hi]
+        yield from zip(edges[:-1], edges[1:])
 
 
 def reference_y_c(q, theta):
-    """y_c(theta) by the scalar loop: one spline call and one rho call per
-    Gauss-Legendre sub-interval, panels summed in order."""
+    """y_c(theta) with every panel, sub-interval and node placed by scalar
+    loops: the descent from T_h to T_c in p = sqrt(-2 W(T)) on the graded
+    p-panels, with [0, h0] in closed form, and for theta > 0 twice the
+    excursion above T_h, the sub-intervals in [0, theta] of the s-panels of
+    the whole trajectory [0, I(theta)].  The Gauss-Legendre sums of one
+    theta are matrix products, as in the kernel: a tangency theta minimises
+    a flat H, so it follows H to the last bit."""
     theta = float(theta)
     t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
-    w_lo = -math.sqrt(theta * theta + 2.0 * q.spec.rk)
-    pts = {w_lo, theta}
-    if theta > 0:
-        pts.update((0.0, -theta))
+    rho = q.spec.pair.rho.value
+
+    def inv_rho(qq):
+        return 1.0 / rho(t.inv(np.clip(qq, t.W[0], t.W[-1])))
+
+    assert (ivp._GL_ORDER, ivp._DESCENT_GL_ORDER) == (GL_NODES.size, DESCENT_NODES.size)
+    tau = abs(theta)
+    P = math.sqrt(2.0 * q.spec.rk)
+    h0 = P * 0.25 ** ivp._DESCENT_LEVELS
+    ends = {P * 0.25 ** k for k in range(ivp._DESCENT_LEVELS + 1)}
     for q_k in t.kink_q:
-        w2 = theta * theta - 2.0 * q_k
-        if w2 > 0:
-            w_k = math.sqrt(w2)
-            pts.update(c for c in (-w_k, w_k) if w_lo < c < theta)
-    pts = sorted(pts)
-    span = pts[-1] - pts[0]
-    assert ivp._GL_ORDER == GL_NODES.size
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n_sub = min(8, max(1, int(math.ceil((hi - lo) / (0.25 * span + 1e-300)))))
-        edges = np.linspace(lo, hi, n_sub + 1)
-        panel = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            w = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
-            qq = np.clip(0.5 * (theta * theta - w * w), t.W[0], t.W[-1])
-            rho = q.spec.pair.rho.value(t.inv(qq))
-            panel += 0.5 * (b - a) * float(np.dot(GL_WEIGHTS, 1.0 / rho))
-        total += panel
+        if q_k < 0 and h0 < math.sqrt(-2.0 * q_k) < P:
+            ends.add(math.sqrt(-2.0 * q_k))
+    p, wf = [], []
+    for a, b in _sub_intervals(sorted(ends), P - h0):
+        x = 0.5 * (b - a) * DESCENT_NODES + 0.5 * (a + b)
+        p.append(x)
+        wf.append(0.5 * (b - a) * DESCENT_WEIGHTS * inv_rho(-0.5 * x * x))
+    p = np.concatenate(p)
+    total = float(((p / np.sqrt(tau * tau + p * p))[None, :] @ np.concatenate(wf))[0])
+    total += h0 * h0 / (math.hypot(h0, tau) + tau) / rho(q.spec.T_h)
+    if theta > 0:
+        pts = {0.0, theta}  # and the images 2 q_k / b < theta of kinks above T_h
+        for q_k in t.kink_q:
+            if 0 < 2.0 * q_k < theta * theta:
+                pts.add(2.0 * q_k / (theta + math.sqrt(theta * theta - 2.0 * q_k)))
+        I = theta + math.sqrt(theta * theta + 2.0 * q.spec.rk)
+        half, inv = [], []
+        for a, b in _sub_intervals(sorted(pts), I):
+            s = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
+            half.append(0.5 * (b - a))
+            inv.append(inv_rho(0.5 * s * (2.0 * theta - s)))
+        total += 2.0 * sum(np.array(half) * (np.array(inv) @ GL_WEIGHTS))
     return total
 
 
@@ -266,12 +292,14 @@ def test_theta_squared_overflow_raises_numerical_blowup():
         q.materialize(-1e200, gamma=1.0)
 
 
-def full_panel_y_c(q, theta):
-    """y_c with every sub-interval of _subdivide(_splits(theta), 4)
-    integrated, the [theta, 2 theta] panels included (the rule before
-    mirroring)."""
+def full_panel_excursion(q, theta):
+    """2 \\int_0^theta of y_c by the rule before mirroring: every
+    sub-interval of _subdivide(_splits(theta), 4) in [0, 2 theta]
+    integrated."""
     t = q._table
     owner, a, b = ivp._subdivide(q._splits(t, theta), 4)
+    keep = a < 2.0 * theta[owner]
+    owner, a, b = owner[keep], a[keep], b[keep]
     seg = q._inv_rho_integrals(t, a, b, theta[owner])
     return np.bincount(owner, weights=seg, minlength=theta.size)
 
@@ -308,8 +336,13 @@ def test_mirrored_panels_match_full_panel_rule(name, spec, monkeypatch):
     V = abs(spec.V)
     thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0, 1e-3 * s, 0.1 * s, 0.5 * s,
                        s, 0.5 * V, 0.99 * V])
-    got = q.y_c(thetas)  # extends the grid first, so both read the same one
-    want = full_panel_y_c(q, thetas)
+    q.y_c(thetas)  # extends the grid first, so both read the same one
+    descent = p, pp, wf, h0, _ = q._descent
+    q._descent = p, pp, 0.0 * wf, h0, 0.0  # C = 0: y_c - C is the excursion alone
+    got = q.y_c(thetas)
+    q._descent = descent
+    want = full_panel_excursion(q, thetas)
+    np.testing.assert_array_equal(got[thetas <= 0], 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
     for theta in thetas[[1, 4, 7, 9]]:
         T_want, y_c_want = full_panel_profile(q, float(theta))
@@ -387,6 +420,10 @@ def test_table_taken_before_an_extension_still_gives_the_same_y_c():
         for t in (old, q._table):
             np.testing.assert_array_equal(q._y_c_chunk(t, thetas), first, str(idx))
         np.testing.assert_array_equal(q.y_c(thetas), first, str(idx))
+        # a descent first built on an extended table has the same bits
+        late = tg.HittingTimeQuadrature(spec)
+        late.y_c(0.5 * s)
+        np.testing.assert_array_equal(late.y_c(thetas), first, str(idx))
 
 
 def test_splits_take_only_the_kinks_some_theta_reaches():
@@ -469,3 +506,110 @@ def test_materialize_at_tiny_positive_theta(theta):
     assert np.all(np.isfinite(sol.T)) and np.all(np.isfinite(sol.q))
     assert sol.T[0] == spec.T_h
     assert abs(sol.T[-1] - spec.T_c) <= 1e-14
+
+
+def s_form_y_c(q, theta):
+    """y_c(theta <= 0) by the rule before the descent was split off, as a
+    scalar loop: the whole drop [0, I(theta)] in s, split at the s-images
+    2 q_k / b of the kinks below T_h, each panel cut into ceil(4 width / I)
+    sub-intervals of 80-point Gauss-Legendre."""
+    t = q._table
+    I = float(tg.shooting_function(q.spec, theta))
+    pts = {0.0, I}
+    for q_k in t.kink_q:
+        if q_k < 0:
+            image = 2.0 * q_k / (theta - math.sqrt(theta * theta - 2.0 * q_k))
+            if image < I:
+                pts.add(image)
+    total = 0.0
+    for a, b in _sub_intervals(sorted(pts), I):
+        s = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
+        T = t.inv(np.clip(0.5 * s * (2.0 * theta - s), t.W[0], t.W[-1]))
+        total += 0.5 * (b - a) * float(np.dot(GL_WEIGHTS, 1.0 / q.spec.pair.rho.value(T)))
+    return total
+
+
+def test_descent_on_the_unit_leg_matches_the_exact_integral():
+    # kappa = rho = 1: y_c(-tau) = sqrt(tau^2 + 2r) - tau, for tau from 0
+    # and subnormal up to 1e4 P, P = sqrt(2r)
+    spec = unit_spec()
+    q = tg.HittingTimeQuadrature(spec)
+    P = math.sqrt(2.0 * spec.rk)
+    for tau in [0.0, 5e-324, 1e-300] + [P * 10.0 ** k for k in range(-14, 5)]:
+        exact = 2.0 * spec.rk / (math.sqrt(tau * tau + 2.0 * spec.rk) + tau)
+        assert abs(q.y_c(-tau) - exact) <= 1e-14 * exact, tau
+
+
+@pytest.mark.parametrize("k,M,v,T_c,T_h", [(1.0, 48.0, 2.0, 1.0, 2.0),
+                                          (0.4, 5.0, 0.3, 300.0, 600.0),
+                                          (3.0, 0.02, 7.0, 0.5, 0.6)])
+def test_descent_on_clamped_legs_matches_the_closed_form(k, M, v, T_c, T_h):
+    # rho = v below T_h, the ramp of slope M above: theta <= 0 is all descent
+    pair = tg.MaterialPair(kappa=tg.constant(k),
+                           rho=tg.clamped_linear(M=M, T_pivot=T_h, v_pivot=v),
+                           alpha0=1.0)
+    spec = tg.GeneratorSpec(pair=pair, T_h=T_h, T_c=T_c)
+    q = tg.HittingTimeQuadrature(spec)
+    P = math.sqrt(2.0 * spec.rk)
+    for f in (-4.0, -1.0, -0.1, -1e-3, 0.0):
+        exact = oracles.clamped_hitting_time(v, M / k, k * (T_h - T_c), f * P)
+        assert abs(q.y_c(f * P) - exact) <= 1e-14 * exact, f
+
+
+def test_descent_matches_the_s_form_loop_on_all_family_pairs():
+    rng = np.random.default_rng(71)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        q = tg.HittingTimeQuadrature(spec)
+        P = math.sqrt(2.0 * spec.rk)
+        for f in (-4.0, -3.0, -1.0, -0.1, -1e-3, 0.0):
+            want = s_form_y_c(q, f * P)
+            assert abs(q.y_c(f * P) - want) <= REL * want, (idx, f)
+
+
+def test_ratio_solve_and_materialize_leave_the_descent_unbuilt(monkeypatch):
+    built = []
+
+    class Recorded(ivp.HittingTimeQuadrature):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(ivp, "HittingTimeQuadrature", Recorded)
+    spec = three_solution_problem().spec
+    tg.solve_ratio_mode(spec, 1.0)
+    (q,) = built
+    for theta in (-0.5, 0.0, 0.5):
+        q.materialize(theta, gamma=1.0)
+    assert "_descent" not in vars(q)
+    q.y_c(-0.5)
+    assert "_descent" in vars(q)
+
+
+def test_kink_below_T_h_is_a_descent_panel_end(monkeypatch):
+    # rho a 9-knot table: the knot at 1.5 K is the one inside (T_c, T_h),
+    # at W = -0.625 (rho falls linearly from 1.5 to 1 over [1.5, 2] K)
+    knots = [(0.5 * (i + 1), 1.0 + 0.25 * (i % 3)) for i in range(9)]
+    pair = tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.table(knots), alpha0=1.0)
+    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
+    (q_k,) = q._table.kink_q
+    assert q_k == pytest.approx(-0.625, rel=1e-15)
+    ends = []
+    subdivide = ivp._subdivide
+    monkeypatch.setattr(ivp, "_subdivide",
+                        lambda pts, n: ends.append(pts.copy()) or subdivide(pts, n))
+    q.y_c(-1.0)
+    (row,) = ends[0]
+    assert math.sqrt(-2.0 * q_k) in row
+
+
+def test_scan_below_T_h_evaluates_only_the_descent_nodes():
+    # a 2,048-theta scan of theta <= 0 evaluates W^-1 on the descent's nodes
+    # only, once, and on no nodes of its own per theta
+    q = tg.HittingTimeQuadrature(three_solution_problem().spec)
+    points = []
+    inv = q._table.inv
+    q._table = q._table._replace(inv=lambda x: points.append(np.size(x)) or inv(x))
+    P = math.sqrt(2.0 * q.spec.rk)
+    q.y_c(np.linspace(-4.0 * P, 0.0, 2048))
+    assert sum(points) == q._descent[0].size <= 1000
