@@ -26,12 +26,15 @@ p = sqrt(-2 W(T)) runs from 0 to sqrt(2r) and ds = p dp / sqrt(theta^2 + p^2):
 
     y_c(theta) = C(|theta|) + [theta > 0] 2 \\int_0^theta ds / rho(T(s)),
     C(tau) = \\int_0^{sqrt(2r)} p dp / (rho(T(p)) sqrt(tau^2 + p^2)).
+
+The excursion above T_h is smooth in the turning-point angle phi, where
+sqrt(2 q) = theta sin(phi) and s = theta (1 - cos(phi)).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -57,6 +60,41 @@ _N_BASE = 8193     # uniform nodes per W^-1 grid block
 _GL_ORDER = 80     # Gauss-Legendre nodes per sub-interval in w
 _DESCENT_GL_ORDER = 24  # Gauss-Legendre nodes per sub-interval of the descent in p
 _DESCENT_LEVELS = 16    # panels [P 4^-k-1, P 4^-k] graded toward p = 0
+_EXCURSION_GL_ORDER = 16  # Gauss-Legendre nodes per panel of the excursion in phi
+_EXCURSION_LEVELS = 4     # panels graded by 1/4 toward phi = 0
+_KINK_LEVELS = 6          # panels graded by 1/4 toward a kink above T_h
+
+
+def _graded(levels: int):
+    """Nodes and weights on [0, 1] of _EXCURSION_GL_ORDER-point Gauss-Legendre
+    on the panels [4^-k-1, 4^-k], k < levels, and [0, 4^-levels]."""
+    ends = np.array([0.0] + [0.25 ** k for k in range(levels, -1, -1)])
+    nodes, weights = _gauss_legendre(_EXCURSION_GL_ORDER)
+    half = 0.5 * np.diff(ends)
+    return ((half[:, None] * nodes + (0.5 * (ends[:-1] + ends[1:]))[:, None]).ravel(),
+            np.outer(half, weights).ravel())
+
+
+def _two_sided(lo: int, hi: int):
+    """Nodes and weights on [0, 1]: _graded(lo) on [0, 1/2] and _graded(hi)
+    mirrored onto [1/2, 1]."""
+    (x_lo, w_lo), (x_hi, w_hi) = _graded(lo), _graded(hi)
+    return (np.concatenate([0.5 * x_lo, 1.0 - 0.5 * x_hi[::-1]]),
+            np.concatenate([0.5 * w_lo, 0.5 * w_hi[::-1]]))
+
+
+# the excursion's rule on [0, pi/2], graded toward phi = 0: sin(phi) and the
+# weights times sin(phi) on its nodes
+_x, _w = _graded(_EXCURSION_LEVELS)
+_PHI_SIN = np.sin(0.5 * np.pi * _x)
+_PHI_WSIN = 0.5 * np.pi * _w * _PHI_SIN
+del _x, _w
+# rules on [0, 1] for the panels of a row cut at kinks: the first one ends
+# at phi = 0 and a kink, the middle ones at two kinks, the last one at a kink
+# and the turning point phi = pi/2, which is smooth in phi
+_FIRST = _two_sided(_EXCURSION_LEVELS, _KINK_LEVELS)
+_MIDDLE = _two_sided(_KINK_LEVELS, _KINK_LEVELS)
+_LAST = _two_sided(_KINK_LEVELS, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +273,10 @@ class HittingTimeQuadrature:
     y_c(theta) = C(|theta|) + [theta > 0] 2 \\int_0^theta ds / rho(T(s)).  The
     integrand of the descent C, in p, does not depend on theta: its nodes
     and values are built once (_descent), and a theta costs one kernel
-    product.  Only the excursion above T_h is integrated per theta,
-    panelwise Gauss-Legendre in s split at the s-images of rho/kappa kinks;
-    accurate unless rho nears 0 just past s = 0 or s = 2 theta.  The inverse
+    product.  The excursion above T_h is integrated in the turning-point
+    angle phi, on fixed nodes graded toward phi = 0 and, where the row
+    reaches kinks above T_h, on panels cut at them and graded toward them
+    (_excursion).  The inverse
     of W is cached as a Hermite spline on a kink-aware grid with node values
     from 8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
@@ -392,20 +431,53 @@ class HittingTimeQuadrature:
     def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """C(|theta|) as one kernel product on the nodes of _descent, with
         f(0) h0^2 / (hypot(h0, tau) + tau) for [0, h0] (f is even in p), plus
-        for theta > 0 the sub-intervals in [0, theta] of
-        _subdivide(_splits(theta), 4), twice in place of [theta, 2 theta]."""
+        twice the excursion for theta > 0.  Every row is summed in a fixed
+        order, so its bits do not depend on the other theta of the chunk."""
         tt, tau = _squared(theta), np.abs(theta)
         p, pp, wf, h0, f0 = self._descent
-        out = (p / np.sqrt(tt[:, None] + pp)) @ wf + f0 * h0 * h0 / (np.hypot(h0, tau) + tau)
+        out = (np.einsum("ij,j->i", p / np.sqrt(tt[:, None] + pp), wf)
+               + f0 * h0 * h0 / (np.hypot(h0, tau) + tau))
         up = np.flatnonzero(theta > 0)
         if up.size:
-            th = theta[up]
-            owner, a, b = _subdivide(self._splits(t, th), 4)
-            keep = a < th[owner]
-            owner, a, b = owner[keep], a[keep], b[keep]
-            seg = self._inv_rho_integrals(t, a, b, th[owner])
-            out[up] += 2.0 * np.bincount(owner, weights=seg, minlength=up.size)
+            out[up] += 2.0 * self._excursion(t, theta[up])
         return out
+
+    def _excursion(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
+        """\\int_0^theta ds / rho(T(s)) for theta > 0 in the turning-point angle
+        phi, m = sqrt(2 q) = theta sin(phi), s = theta (1 - cos(phi)):
+
+            theta \\int_0^{pi/2} sin(phi) g(theta sin(phi)) dphi,
+            g(m) = 1 / rho(W^{-1}(m^2 / 2)).
+
+        A row that reaches no kink above T_h takes the fixed nodes graded
+        toward phi = 0.  One that reaches k of them is cut at their
+        phi_k = asin(sqrt(2 q_k) / theta) into k + 1 panels, each graded
+        toward its ends at phi = 0 and at kinks.  Rows are grouped by k, one
+        W^{-1} call and one rho call per group."""
+        rho = self.spec.pair.rho.value
+        q_k = np.array(t.kink_q[bisect_right(t.kink_q, 0.0):])
+        ratio = np.sqrt(2.0 * q_k) / theta[:, None]  # < 1 where a row reaches q_k
+        reached = np.count_nonzero(ratio < 1.0, axis=1)
+        out = np.empty_like(theta)
+        for k in np.unique(reached):
+            rows = np.flatnonzero(reached == k)
+            if k == 0:
+                sin, wsin = _PHI_SIN, _PHI_WSIN
+            else:
+                rules = [_FIRST] + [_MIDDLE] * (k - 1) + [_LAST]
+                sizes = [x.size for x, _ in rules]
+                ends = np.column_stack([np.zeros(rows.size), np.arcsin(ratio[rows, :k]),
+                                        np.full(rows.size, 0.5 * np.pi)])
+                # np.repeat keeps rows C-contiguous, so einsum sums each one
+                # in the same order as a row alone
+                width = np.repeat(np.diff(ends, axis=1), sizes, axis=1)
+                sin = np.sin(np.repeat(ends[:, :-1], sizes, axis=1)
+                             + width * np.concatenate([x for x, _ in rules]))
+                wsin = width * np.concatenate([w for _, w in rules]) * sin
+            m = theta[rows, None] * sin
+            g = 1.0 / rho(t.inv(np.clip(0.5 * m * m, t.W[0], t.W[-1])))
+            out[rows] = np.einsum("ij,j->i" if k == 0 else "ij,ij->i", g, wsin)
+        return theta * out
 
     def materialize(self, theta: float, *, gamma: float | None = None,
                     R_load: float | None = None,

@@ -17,7 +17,9 @@ share no code with the quadrature, which makes them oracles for it:
 * clamped_hitting_time, clamped_H, clamped_profile_u: the exact y_c(theta),
   H(theta) and u(y) of the clamped-resistivity leg (constant kappa,
   rho_hat(u) = rho_hat_h + M_hat (u - u_h) for u >= u_h, constant below),
-  whose trajectory is a trigonometric arc above u_h glued to a parabola.
+  whose trajectory is a trigonometric arc above u_h glued to a parabola;
+* steep_table_rho, steep_hitting_time: a leg whose rho falls steeply above
+  T_h and its exact y_c(theta), a hyperbolic arc glued to parabolas.
 """
 
 from __future__ import annotations
@@ -284,6 +286,38 @@ def clamped_H(rho_hat_h: float, M_hat: float, delta_u: float, S_load: float,
     """Exact H(theta) for the clamped profile (r = rho_hat_h * delta_u)."""
     I = theta + math.sqrt(theta * theta + 2.0 * rho_hat_h * delta_u)
     return I + S_load * clamped_hitting_time(rho_hat_h, M_hat, delta_u, theta)
+
+
+STEEP_DELTA = 1e-13  # the table knot just above T_h = 2
+
+
+def steep_table_rho(rho_e: float):
+    """rho = table [(1, 1), (2 + STEEP_DELTA, 1), (3, rho_e)]: 1 up to just
+    above T_h = 2, then a ramp down to rho_e at 3 K, rho_e above."""
+    from tegsolve.materials import Table
+    return Table([(1.0, 1.0), (2.0 + STEEP_DELTA, 1.0), (3.0, rho_e)])
+
+
+def steep_hitting_time(rho_e: float, theta: float) -> float:
+    """Exact y_c(theta >= sqrt(2 W(3))) for kappa = 1, steep_table_rho(rho_e),
+    T_c 1 and T_h 2, where u = T and w' = -rho.
+
+    On a constant-rho part the time is the drop in w over rho.  On the ramp
+    rho = -a v, v = T - T*, with T* = 3 + rho_e / a where the ramp would
+    reach 0, so w^2 = E + a v^2 and the time is
+    (asinh(sqrt(a / E) v_1) - asinh(sqrt(a / E) v_0)) / sqrt(a).  The
+    descent below T_h takes 2 / (theta + sqrt(theta^2 + 2)), r being 1."""
+    d = STEEP_DELTA
+    a = (1.0 - rho_e) / (1.0 - d)
+    w_a = math.sqrt(theta * theta - 2.0 * d)              # at 2 + d
+    w_3 = math.sqrt(theta * theta - 2.0 * (d + 0.5 * (1.0 - d) * (1.0 + rho_e)))
+    E = w_a * w_a - 1.0 / a                                # w^2 - a v^2 on the ramp
+    c = math.sqrt(a / E)
+    v_0, v_1 = -1.0 / a, -rho_e / a
+    up = (2.0 * d / (theta + w_a)
+          + (math.asinh(c * v_1) - math.asinh(c * v_0)) / math.sqrt(a)
+          + w_3 / rho_e)
+    return 2.0 * up + 2.0 / (theta + math.sqrt(theta * theta + 2.0))
 
 
 def clamped_profile_u(u_h: float, rho_hat_h: float, M_hat: float,

@@ -24,8 +24,18 @@ minimising H - |V| itself, which lands 9e-9 from it (the flatness limit).
 They were rewritten again when the descent below T_h became one
 theta-independent quadrature in p = sqrt(-2 W): H moved by at most 5.1e-16
 relative, and the minimiser, which only the flatness of H fixes, moved from
--9.0e-9 to +1.0e-8 relative of the exact stationary point.  Every other row
-is as first written.
+-9.0e-9 to +1.0e-8 relative of the exact stationary point.
+
+Every file of both legs was rewritten when the excursion above T_h moved
+from panels in s to the turning-point angle.  The panels in s missed the
+exact y_c by up to 9.1e-10 relative near the top of the scan, so the old
+h_curve.csv rows with theta > 0 sat 2.6e-10 to 2.7e-10 relative off the
+exact clamped H; the new ones sit within 1.3e-11, the floor of the cubic
+W^-1 spline.  The roots moved with H: the three_solutions root near 0.4025
+by 6.3e-11 relative, and the two_solutions tangency by 2.1e-9, within its
+1e-7 pin to the exact stationary point.  Since that rewrite,
+test_h_curve_matches_the_exact_H holds every h_curve.csv row, fresh and
+tracked, to the exact H, not only to the last reference.
 """
 
 import csv
@@ -36,6 +46,7 @@ import pytest
 
 from tegsolve import cli
 
+import oracles
 from helpers import two_solution_problem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +55,7 @@ H_CURVE_REL = {"theta": 1e-15, "H": 1e-13}
 ROOT_REL = {"theta": 4e-11, "y_c": 4e-11, "R_total": 4e-11,
             "gamma_equiv": 1.2e-10, "eta": 4e-11}
 TANGENCY_ROOT_REL = 1.1e-9
+EXACT_H_REL = 5e-11  # h_curve.csv against oracles.clamped_H
 
 
 def _read(path):
@@ -70,6 +82,15 @@ def test_h_curve_matches_reference(run):
     for i, name in enumerate(header):
         np.testing.assert_allclose(got[:, i], want[:, i], rtol=H_CURVE_REL[name],
                                    atol=0, err_msg=name)
+
+
+def test_h_curve_matches_the_exact_H(run):
+    # both legs: kappa = 1, rho 2 below T_h and 2 + 48 (T - T_h) above, S_load 8
+    for path in run:
+        _, rows = _read(path / "h_curve.csv")
+        exact = np.array([oracles.clamped_H(2.0, 48.0, 1.0, 8.0, th) for th in rows[:, 0]])
+        np.testing.assert_allclose(rows[:, 1], exact, rtol=EXACT_H_REL, atol=0,
+                                   err_msg=str(path))
 
 
 def test_roots_match_reference(run):

@@ -26,6 +26,7 @@ REL = 1e-13  # summation order differs from the loop; the arithmetic does not
 TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 DESCENT_NODES, DESCENT_WEIGHTS = np.polynomial.legendre.leggauss(24)
+EXCURSION_NODES, EXCURSION_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _sub_intervals(ends, span):
@@ -38,14 +39,58 @@ def _sub_intervals(ends, span):
         yield from zip(edges[:-1], edges[1:])
 
 
+def _graded_sub_panels(a, b, levels, toward_a):
+    """The sub-panels of [a, b] graded by 1/4 toward a (or b) over levels:
+    [a + h 4^-k-1, a + h 4^-k] for k < levels and [a, a + h 4^-levels],
+    h = b - a, from a to b."""
+    h = b - a
+    cuts = [h * 0.25 ** k for k in range(levels, -1, -1)]
+    if toward_a:
+        edges = [a] + [a + c for c in cuts]
+    else:
+        edges = [b - c for c in reversed(cuts)] + [b]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def reference_excursion(q, theta):
+    """\\int_0^theta ds / rho(T(s)) for theta > 0 with every panel and node
+    placed by scalar loops: in phi, sqrt(2 q) = theta sin(phi), the panel
+    [0, pi/2] graded toward 0 when theta reaches no kink above T_h, else the
+    panels between 0, the phi_k = asin(sqrt(2 q_k) / theta) of the kinks it
+    reaches and pi/2, each halved and graded toward its ends at 0 and at
+    kinks.  The row is one einsum sum over its nodes, as in the kernel."""
+    theta = float(theta)
+    t = q._reach(0.5 * theta * theta)
+    assert ivp._EXCURSION_GL_ORDER == EXCURSION_NODES.size
+    ends = [0.0] + [math.asin(math.sqrt(2.0 * q_k) / theta) for q_k in t.kink_q
+                    if 0 < q_k and math.sqrt(2.0 * q_k) / theta < 1.0] + [0.5 * math.pi]
+    phi, wsin = [], []
+    if len(ends) == 2:  # placed on [0, 1] and scaled by pi/2, as in the kernel
+        for a, b in _graded_sub_panels(0.0, 1.0, ivp._EXCURSION_LEVELS, True):
+            x = 0.5 * math.pi * (0.5 * (b - a) * EXCURSION_NODES + 0.5 * (a + b))
+            phi.append(x)
+            wsin.append(0.5 * math.pi * (0.5 * (b - a) * EXCURSION_WEIGHTS) * np.sin(x))
+    else:
+        levels = [ivp._EXCURSION_LEVELS] + [ivp._KINK_LEVELS] * (len(ends) - 2) + [0]
+        for i, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            mid = a + 0.5 * (b - a)
+            for c, d in (_graded_sub_panels(a, mid, levels[i], True)
+                         + _graded_sub_panels(mid, b, levels[i + 1], False)):
+                x = 0.5 * (d - c) * EXCURSION_NODES + 0.5 * (c + d)
+                phi.append(x)
+                wsin.append(0.5 * (d - c) * EXCURSION_WEIGHTS * np.sin(x))
+    m = theta * np.sin(np.concatenate(phi))
+    g = 1.0 / q.spec.pair.rho.value(t.inv(np.clip(0.5 * m * m, t.W[0], t.W[-1])))
+    return theta * float(np.einsum("j,j->", g, np.concatenate(wsin)))
+
+
 def reference_y_c(q, theta):
     """y_c(theta) with every panel, sub-interval and node placed by scalar
     loops: the descent from T_h to T_c in p = sqrt(-2 W(T)) on the graded
-    p-panels, with [0, h0] in closed form, and for theta > 0 twice the
-    excursion above T_h, the sub-intervals in [0, theta] of the s-panels of
-    the whole trajectory [0, I(theta)].  The Gauss-Legendre sums of one
-    theta are matrix products, as in the kernel: a tangency theta minimises
-    a flat H, so it follows H to the last bit."""
+    p-panels, with [0, h0] in closed form, and for theta > 0 twice
+    reference_excursion.  The Gauss-Legendre sums of one theta are einsum
+    sums, as in the kernel: a tangency theta minimises a flat H, so it
+    follows H to the last bit."""
     theta = float(theta)
     t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
     rho = q.spec.pair.rho.value
@@ -53,7 +98,7 @@ def reference_y_c(q, theta):
     def inv_rho(qq):
         return 1.0 / rho(t.inv(np.clip(qq, t.W[0], t.W[-1])))
 
-    assert (ivp._GL_ORDER, ivp._DESCENT_GL_ORDER) == (GL_NODES.size, DESCENT_NODES.size)
+    assert ivp._DESCENT_GL_ORDER == DESCENT_NODES.size
     tau = abs(theta)
     P = math.sqrt(2.0 * q.spec.rk)
     h0 = P * 0.25 ** ivp._DESCENT_LEVELS
@@ -67,20 +112,10 @@ def reference_y_c(q, theta):
         p.append(x)
         wf.append(0.5 * (b - a) * DESCENT_WEIGHTS * inv_rho(-0.5 * x * x))
     p = np.concatenate(p)
-    total = float(((p / np.sqrt(tau * tau + p * p))[None, :] @ np.concatenate(wf))[0])
+    total = float(np.einsum("j,j->", p / np.sqrt(tau * tau + p * p), np.concatenate(wf)))
     total += h0 * h0 / (math.hypot(h0, tau) + tau) / rho(q.spec.T_h)
     if theta > 0:
-        pts = {0.0, theta}  # and the images 2 q_k / b < theta of kinks above T_h
-        for q_k in t.kink_q:
-            if 0 < 2.0 * q_k < theta * theta:
-                pts.add(2.0 * q_k / (theta + math.sqrt(theta * theta - 2.0 * q_k)))
-        I = theta + math.sqrt(theta * theta + 2.0 * q.spec.rk)
-        half, inv = [], []
-        for a, b in _sub_intervals(sorted(pts), I):
-            s = 0.5 * (b - a) * GL_NODES + 0.5 * (a + b)
-            half.append(0.5 * (b - a))
-            inv.append(inv_rho(0.5 * s * (2.0 * theta - s)))
-        total += 2.0 * sum(np.array(half) * (np.array(inv) @ GL_WEIGHTS))
+        total += 2.0 * reference_excursion(q, theta)
     return total
 
 
@@ -292,18 +327,6 @@ def test_theta_squared_overflow_raises_numerical_blowup():
         q.materialize(-1e200, gamma=1.0)
 
 
-def full_panel_excursion(q, theta):
-    """2 \\int_0^theta of y_c by the rule before mirroring: every
-    sub-interval of _subdivide(_splits(theta), 4) in [0, 2 theta]
-    integrated."""
-    t = q._table
-    owner, a, b = ivp._subdivide(q._splits(t, theta), 4)
-    keep = a < 2.0 * theta[owner]
-    owner, a, b = owner[keep], a[keep], b[keep]
-    seg = q._inv_rho_integrals(t, a, b, theta[owner])
-    return np.bincount(owner, weights=seg, minlength=theta.size)
-
-
 def full_panel_profile(q, theta, n_out=ivp.N_OUT):
     """(T, y_c) of materialize(theta) by the rule before mirroring: every
     sub-interval integrated, the [theta, 2 theta] edges included."""
@@ -341,7 +364,8 @@ def test_mirrored_panels_match_full_panel_rule(name, spec, monkeypatch):
     q._descent = p, pp, 0.0 * wf, h0, 0.0  # C = 0: y_c - C is the excursion alone
     got = q.y_c(thetas)
     q._descent = descent
-    want = full_panel_excursion(q, thetas)
+    # the excursion has no mirror panels: its reference is the scalar phi loop
+    want = [2.0 * reference_excursion(q, th) if th > 0 else 0.0 for th in thetas]
     np.testing.assert_array_equal(got[thetas <= 0], 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
     for theta in thetas[[1, 4, 7, 9]]:
@@ -613,3 +637,60 @@ def test_scan_below_T_h_evaluates_only_the_descent_nodes():
     P = math.sqrt(2.0 * q.spec.rk)
     q.y_c(np.linspace(-4.0 * P, 0.0, 2048))
     assert sum(points) == q._descent[0].size <= 1000
+
+
+def _bit_cases():
+    for name, prob in (("three_solutions", three_solution_problem()),
+                       ("two_solutions", two_solution_problem()[0])):
+        V = abs(prob.spec.V)
+        yield name, prob, np.linspace(-0.5, 0.5 * V, 2048)
+    rng = np.random.default_rng(71)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        P = math.sqrt(2.0 * spec.rk)
+        yield f"random_{idx}", tg.LoadResistanceProblem(spec=spec, R_load=1.0), \
+            np.linspace(-3.0 * P, 2.0 * P, 300)
+
+
+def test_grid_H_matches_per_theta_H_bit_for_bit():
+    # every row of y_c is summed in a fixed order and placed by its own theta
+    # alone, so the scan's H and the refinement's scalar H agree to the bit
+    for name, prob, grid in _bit_cases():
+        got = loadmode.H_of_theta(prob, grid)
+        one = np.array([loadmode.H_of_theta(prob, float(th)) for th in grid])
+        np.testing.assert_array_equal(got, one, err_msg=name)
+
+
+@pytest.mark.parametrize("rho_e", [0.02, 0.005])
+@pytest.mark.parametrize("theta", [5.0, 20.0])
+def test_excursion_on_a_steep_rho_matches_the_closed_form(theta, rho_e):
+    # rho falls from 1 to rho_e over the K above T_h; the ramp would reach 0
+    # rho_e / (1 - rho_e) K past its kink at 3 K, next to a kink panel's end
+    pair = tg.MaterialPair(tg.constant(1.0), oracles.steep_table_rho(rho_e), 3.0)
+    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
+    exact = oracles.steep_hitting_time(rho_e, theta)
+    assert abs(q.y_c(theta) - exact) <= 1e-12 * exact
+
+
+def test_y_c_on_the_three_solutions_scan_matches_the_closed_form():
+    prob = three_solution_problem()
+    grid = np.linspace(-0.5, 0.5 * abs(prob.spec.V), 2048)
+    got = tg.HittingTimeQuadrature(prob.spec).y_c(grid)
+    exact = np.array([oracles.clamped_hitting_time(2.0, 48.0, 1.0, th) for th in grid])
+    assert np.max(np.abs(got - exact) / exact) <= 1e-10
+
+
+def test_excursion_builds_no_s_panels(monkeypatch):
+    # theta > 0 takes fixed phi nodes or per-row kink panels, never the
+    # whole-drop panels in s that materialize uses
+    knots = [(0.5 * (i + 1), 1.0 + 0.25 * (i % 3)) for i in range(9)]
+    pair = tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.table(knots), alpha0=1.0)
+    for spec in (three_solution_problem().spec,
+                 tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0)):
+        q = tg.HittingTimeQuadrature(spec)
+        q.y_c(-1.0)  # the descent, built once with _subdivide
+        with monkeypatch.context() as m:
+            m.setattr(ivp, "_subdivide", None)
+            m.setattr(ivp.HittingTimeQuadrature, "_splits", None)
+            got = q.y_c(np.linspace(0.01, 6.0, 100))
+        assert np.all(np.isfinite(got)) and np.all(got > 0)

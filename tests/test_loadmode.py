@@ -135,13 +135,36 @@ def test_two_solution_enumeration_flags_tangency():
     assert tangent.R_total == pytest.approx(11.69, abs=0.01)
 
 
+DIP_DEPTH = 1e-8  # 1% of TOL_TANGENCY at |V| > 1
+
+
+def _dipping_two_solution_problem():
+    """two_solution_problem with alpha0, hence |V|, raised by DIP_DEPTH: the
+    exact H dips DIP_DEPTH below |V| at its stationary point, over ~3e-4 in
+    theta."""
+    prob, th_stationary = two_solution_problem()
+    spec, pair = prob.spec, prob.spec.pair
+    pair = tg.MaterialPair(kappa=pair.kappa, rho=pair.rho,
+                           alpha0=pair.alpha0 + DIP_DEPTH / spec.delta_T)
+    spec = tg.GeneratorSpec(pair=pair, T_h=spec.T_h, T_c=spec.T_c, L=spec.L,
+                            A_c=spec.A_c)
+    return tg.LoadResistanceProblem(spec=spec, R_load=prob.R_load), th_stationary
+
+
 @pytest.mark.parametrize("scan_samples", [2109, 2269, 2923])
 def test_crossing_pair_at_the_tangency_is_one_flagged_root(scan_samples):
-    # at these resolutions a grid node falls inside the quadrature H's dip
-    # (~1.5e-5 wide, 2.7e-11 deep) below |V| at the tangency, so the scan
-    # sees two sign changes there; the tangency owns both
-    prob, th_stationary = two_solution_problem()
+    # at these resolutions a grid node falls where the exact H lies more
+    # than DIP_DEPTH / 2 below |V|, so the scan sees two sign changes at the
+    # stationary point; the dip is within the tangency tolerance, and the
+    # tangency owns both
+    prob, th_stationary = _dipping_two_solution_problem()
+    V = abs(prob.spec.V)
+    assert V - oracles.clamped_H(2.0, 48.0, 1.0, 8.0, th_stationary) == pytest.approx(
+        DIP_DEPTH, rel=1e-6)
     res = tg.enumerate_solutions(prob, scan_samples=scan_samples)
+    grid = res.scan_diagnostics.theta_grid
+    near = grid[np.abs(grid - th_stationary) < 1e-3]
+    assert min(oracles.clamped_H(2.0, 48.0, 1.0, 8.0, th) - V for th in near) < -0.5 * DIP_DEPTH
     assert [r.tangency for r in res.roots] == [False, True]
     assert res.roots[1].theta == pytest.approx(th_stationary, rel=1e-7)
     d = res.scan_diagnostics
