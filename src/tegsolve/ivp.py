@@ -19,7 +19,7 @@ from 0 at the hot end to I(theta) = theta - w_c at the cold end,
     \\int_0^{y_c} rho dy = I(theta),
 
 so the hitting time, the profile and the internal resistance all come from
-one quadrature in s (HittingTimeQuadrature).  Neither q(s) nor I(theta)
+one quadrature (HittingTimeQuadrature).  Neither q(s) nor I(theta)
 cancels for theta <= 0, however far theta lies below -sqrt(2r).  Every
 trajectory ends with the same descent from T_h to T_c, where
 p = sqrt(-2 W(T)) runs from 0 to sqrt(2r) and ds = p dp / sqrt(theta^2 + p^2):
@@ -28,13 +28,14 @@ p = sqrt(-2 W(T)) runs from 0 to sqrt(2r) and ds = p dp / sqrt(theta^2 + p^2):
     C(tau) = \\int_0^{sqrt(2r)} p dp / (rho(T(p)) sqrt(tau^2 + p^2)).
 
 The excursion above T_h is smooth in the turning-point angle phi, where
-sqrt(2 q) = theta sin(phi) and s = theta (1 - cos(phi)).
+sqrt(2 q) = theta sin(phi) and s = theta (1 - cos(phi)).  A profile runs over
+the same panels: phi from 0 to pi, then p from 0 to sqrt(2r).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -49,15 +50,15 @@ from .errors import (
     NonPositiveHotFlux,
     NumericalBlowup,
 )
-from .materials import _gauss_legendre, _ret, segment_integrals, segment_nodes
+from .materials import _ret, gauss_legendre_on, segment_integrals, segment_nodes
 
 TOL_ETA = 1e-6      # closed-form vs flux-ratio efficiency agreement
 TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
-_PROFILE_INTERVALS = 512  # GL sub-intervals in w behind one materialised profile
+_PROFILE_INTERVALS = 1024  # sub-intervals behind one profile, shared out by width in s
+_PROFILE_GL_ORDER = 16     # Gauss-Legendre nodes per sub-interval of a profile
 _N_BASE = 8193     # uniform nodes per W^-1 grid block
-_GL_ORDER = 80     # Gauss-Legendre nodes per sub-interval in w
 _DESCENT_GL_ORDER = 24  # Gauss-Legendre nodes per sub-interval of the descent in p
 _DESCENT_LEVELS = 16    # panels [P 4^-k-1, P 4^-k] graded toward p = 0
 _EXCURSION_GL_ORDER = 16  # Gauss-Legendre nodes per panel of the excursion in phi
@@ -65,30 +66,34 @@ _EXCURSION_LEVELS = 4     # panels graded by 1/4 toward phi = 0
 _KINK_LEVELS = 6          # panels graded by 1/4 toward a kink above T_h
 
 
-def _graded(levels: int):
-    """Nodes and weights on [0, 1] of _EXCURSION_GL_ORDER-point Gauss-Legendre
-    on the panels [4^-k-1, 4^-k], k < levels, and [0, 4^-levels]."""
+class _Rule(NamedTuple):
+    """Sub-panel ends on [0, 1] and the Gauss-Legendre nodes and weights on them."""
+
+    ends: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+
+
+def _graded(levels: int) -> _Rule:
+    """The rule on the sub-panels [4^-k-1, 4^-k], k < levels, and [0, 4^-levels]."""
     ends = np.array([0.0] + [0.25 ** k for k in range(levels, -1, -1)])
-    nodes, weights = _gauss_legendre(_EXCURSION_GL_ORDER)
-    half = 0.5 * np.diff(ends)
-    return ((half[:, None] * nodes + (0.5 * (ends[:-1] + ends[1:]))[:, None]).ravel(),
-            np.outer(half, weights).ravel())
+    x, half, w = gauss_legendre_on(ends[:-1], ends[1:], _EXCURSION_GL_ORDER)
+    return _Rule(ends, x.ravel(), np.outer(half, w).ravel())
 
 
-def _two_sided(lo: int, hi: int):
-    """Nodes and weights on [0, 1]: _graded(lo) on [0, 1/2] and _graded(hi)
-    mirrored onto [1/2, 1]."""
-    (x_lo, w_lo), (x_hi, w_hi) = _graded(lo), _graded(hi)
-    return (np.concatenate([0.5 * x_lo, 1.0 - 0.5 * x_hi[::-1]]),
-            np.concatenate([0.5 * w_lo, 0.5 * w_hi[::-1]]))
+def _two_sided(lo: int, hi: int) -> _Rule:
+    """_graded(lo) on [0, 1/2] and _graded(hi) mirrored onto [1/2, 1]."""
+    a, b = _graded(lo), _graded(hi)
+    return _Rule(np.concatenate([0.5 * a.ends, 1.0 - 0.5 * b.ends[-2::-1]]),
+                 np.concatenate([0.5 * a.x, 1.0 - 0.5 * b.x[::-1]]),
+                 np.concatenate([0.5 * a.w, 0.5 * b.w[::-1]]))
 
 
-# the excursion's rule on [0, pi/2], graded toward phi = 0: sin(phi) and the
-# weights times sin(phi) on its nodes
-_x, _w = _graded(_EXCURSION_LEVELS)
-_PHI_SIN = np.sin(0.5 * np.pi * _x)
-_PHI_WSIN = 0.5 * np.pi * _w * _PHI_SIN
-del _x, _w
+# the excursion's rule on [0, pi/2] for a row that reaches no kink above T_h,
+# graded toward phi = 0: sin(phi) and the weights times sin(phi) on its nodes
+_GRADED = _graded(_EXCURSION_LEVELS)
+_PHI_SIN = np.sin(0.5 * np.pi * _GRADED.x)
+_PHI_WSIN = 0.5 * np.pi * _GRADED.w * _PHI_SIN
 # rules on [0, 1] for the panels of a row cut at kinks: the first one ends
 # at phi = 0 and a kink, the middle ones at two kinks, the last one at a kink
 # and the turning point phi = pi/2, which is smooth in phi
@@ -212,33 +217,31 @@ def verify_solution(sol: TemperatureSolution, spec: GeneratorSpec) -> ResidualRe
     )
 
 
-def _subdivide(pts: np.ndarray, n_span: int):
-    """Cut each panel between consecutive split points of every row of pts
-    (sorted along axis 1) into ceil(n_span * width / span) equal
-    sub-intervals, span being the row's whole range; zero-width panels get
-    none.  Returns the owning row and the ends a, b of every sub-interval,
-    placed exactly as np.linspace places them, in one array pass."""
-    width = np.diff(pts, axis=1)
-    span = pts[:, -1:] - pts[:, :1] + 4e-300  # no 0/0 on a collapsed row
-    n_sub = np.where(width > 0, np.ceil(n_span * width / span),
-                     0).astype(np.intp).ravel()
-    owner = np.repeat(np.arange(pts.shape[0]).repeat(width.shape[1]), n_sub)
+def _subdivide(ends: np.ndarray, share: np.ndarray):
+    """The ends a, b of ceil(share[i]) equal sub-intervals of each panel
+    [ends[i], ends[i + 1]] (none where share[i] is not positive), placed as
+    np.linspace places them, in one array pass."""
+    n_sub = np.where(share > 0, np.ceil(share), 0).astype(np.intp)
     k = np.repeat(n_sub, n_sub)
     j = np.arange(k.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    a0 = np.repeat(pts[:, :-1].ravel(), n_sub)
-    step = np.repeat(width.ravel(), n_sub) / k
-    b = np.where(j + 1 == k, np.repeat(pts[:, 1:].ravel(), n_sub),
-                 (j + 1) * step + a0)
-    return owner, j * step + a0, b
+    a0 = np.repeat(ends[:-1], n_sub)
+    step = np.repeat(np.diff(ends), n_sub) / k
+    b = np.where(j + 1 == k, np.repeat(ends[1:], n_sub), (j + 1) * step + a0)
+    return j * step + a0, b
 
 
-def _unmirrored(theta: np.ndarray, owner, a, b):
-    """The sub-intervals of _subdivide outside [theta[owner], 2 theta[owner]]:
-    for theta > 0 the integrand depends on q(s) = q(2 theta - s) only, so
-    those mirror the ones in [0, theta]."""
-    th = theta[owner]
-    keep = (a < th) | (a >= 2.0 * th)
-    return owner[keep], a[keep], b[keep]
+def _angle_leg(theta: float, phi: np.ndarray, n: int):
+    """W and ds/dphi on the excursion at the angles phi in [0, pi], where
+    sqrt(2 W) = theta sin(phi), and s = 2 theta sin^2(phi / 2) at phi[n:]."""
+    m = theta * np.sin(phi)
+    return 0.5 * m * m, m, 2.0 * theta * np.sin(0.5 * phi[n:]) ** 2
+
+
+def _descent_leg(theta: float, p: np.ndarray, n: int):
+    """W and ds/dp on the descent at p = sqrt(-2 W) > 0, and at p[n:] s - s(0)
+    = p^2 / (hypot(theta, p) + |theta|), which does not cancel (0 / 0 at p = 0)."""
+    h = np.hypot(theta, p)
+    return -0.5 * p * p, p / h, p[n:] * (p[n:] / (h[n:] + abs(theta)))
 
 
 def _squared(theta: np.ndarray) -> np.ndarray:
@@ -265,6 +268,28 @@ class _WTable(NamedTuple):
     top: float               # top of the last block
     rest: np.ndarray | None  # the first block's nodes above T_h, not yet summed
 
+    def T_of(self, W):
+        """W^{-1}(W), W clipped to the table's range."""
+        return self.inv(np.clip(W, self.W[0], self.W[-1]))
+
+
+def _angle_panels(t: _WTable, theta: np.ndarray):
+    """The excursion's panels in phi for theta > 0, per number k of kinks
+    above T_h a row reaches: its rows, the panel ends 0, phi_k =
+    asin(sqrt(2 q_k) / theta) and pi/2 on each row (one row for k = 0), and
+    each panel's _Rule: _GRADED for [0, pi/2], else _FIRST, _MIDDLE, _LAST."""
+    q_k = np.array(t.kink_q[bisect_right(t.kink_q, 0.0):])
+    ratio = np.sqrt(2.0 * q_k) / theta[:, None]  # < 1 where a row reaches q_k
+    reached = np.count_nonzero(ratio < 1.0, axis=1)
+    for k in np.unique(reached):
+        rows = np.flatnonzero(reached == k)
+        if k == 0:  # one row of ends serves them all
+            yield rows, np.array([[0.0, 0.5 * np.pi]]), [_GRADED]
+            continue
+        ends = np.column_stack([np.zeros(rows.size), np.arcsin(ratio[rows, :k]),
+                                np.full(rows.size, 0.5 * np.pi)])
+        yield rows, ends, [_FIRST] + [_MIDDLE] * (k - 1) + [_LAST]
+
 
 class HittingTimeQuadrature:
     """Hitting time y_c(theta) and steady states from the phase-space energy
@@ -287,7 +312,7 @@ class HittingTimeQuadrature:
     its segment integrals.  Where W stops growing above T_h the grid ends,
     and only a theta that needs W beyond that end raises NumericalBlowup.
     All of it is one _WTable, replaced whole by each extension.  materialize
-    integrates the whole drop in s into a profile.
+    integrates a profile on the panels of _angle_panels and _descent_ends.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -375,58 +400,28 @@ class HittingTimeQuadrature:
             out[i:i + _Y_C_CHUNK] = self._y_c_chunk(t, flat[i:i + _Y_C_CHUNK])
         return _ret(out.reshape(theta.shape))
 
-    def _splits(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
-        """Panel ends in s per theta, sorted along axis 1: 0, I(theta), theta
-        and 2 theta (theta > 0) and the s-images of the rho/kappa kinks that
-        some theta reaches.  A kink at q_k = W(T_k) has the images
-        s = theta -+ sqrt(theta^2 - 2 q_k), taken as b = theta +
-        copysign(sqrt(theta^2 - 2 q_k), theta) and 2 q_k / b, so neither
-        cancels.  Absent split points are set to 0, so they become
-        zero-width panels."""
-        tt = _squared(theta)
-        I = shooting_function(self.spec, theta)
-        up = theta > 0
-        cols = [np.zeros_like(theta), I, np.where(up, theta, 0.0),
-                np.where(up, 2.0 * theta, 0.0)]
-        top = theta.max(initial=0.0)
-        for q_k in t.kink_q[:bisect_left(t.kink_q, 0.5 * top * top)]:
-            w2 = tt - 2.0 * q_k
-            root = np.sqrt(np.maximum(w2, 0.0))
-            # b = inf where theta does not reach the kink: both images drop out
-            b = np.where(w2 > 0, theta + np.copysign(root, theta), np.inf)
-            for cand in (b, 2.0 * q_k / b):
-                cols.append(np.where((0.0 < cand) & (cand < I), cand, 0.0))
-        return np.sort(np.column_stack(cols), axis=1)
-
-    def _T_of_s(self, t: _WTable, theta, s):
-        """T = W^{-1}(s (2 theta - s) / 2) on t's spline."""
-        return t.inv(np.clip(0.5 * s * (2.0 * theta - s), t.W[0], t.W[-1]))
-
-    def _inv_rho_integrals(self, t: _WTable, a, b, theta):
-        """Gauss-Legendre integral of 1 / rho(T(s)) over each [a, b]."""
-        nodes, weights = _gauss_legendre(_GL_ORDER)
-        half = 0.5 * (b - a)
-        s = half[:, None] * nodes + (0.5 * (a + b))[:, None]
-        inv_rho = 1.0 / self.spec.pair.rho.value(self._T_of_s(t, theta[:, None], s))
-        return half * (inv_rho @ weights)
+    def _descent_ends(self, t: _WTable) -> np.ndarray:
+        """The descent's panel ends in p, sorted: P 4^-k, k <= _DESCENT_LEVELS,
+        P = sqrt(2r), and the kinks' sqrt(-2 q_k); [0, h0] is a closed form."""
+        P = math.sqrt(2.0 * self.spec.rk)
+        h0 = P * 0.25 ** _DESCENT_LEVELS
+        return np.sort([P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)] + [
+            p_k for q_k in t.kink_q
+            if q_k < 0 and h0 < (p_k := math.sqrt(-2.0 * q_k)) < P])
 
     @cached_property
     def _descent(self):
-        """Nodes p of C on [h0, P], P = sqrt(2r), p^2, the GL weights times
-        f(p) = 1 / rho(W^{-1}(-p^2 / 2)), h0 and f(0): panels graded by 1/4
-        toward p = 0, split at the kinks' sqrt(-2 q_k) and cut by _subdivide.
-        Built on first use from the table up to T_h, which no extension moves."""
+        """Nodes p of C on [h0, P], p^2, the GL weights times f(p) = 1 /
+        rho(W^{-1}(-p^2 / 2)), h0 and f(0), on _descent_ends cut into
+        ceil(4 width / (P - h0)) sub-intervals per panel.  Built on first use
+        from the table up to T_h, which no extension moves."""
         t, rho = self._table, self.spec.pair.rho.value
-        P = math.sqrt(2.0 * self.spec.rk)
-        h0 = P * 0.25 ** _DESCENT_LEVELS
-        ends = [P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)] + [
-            p_k for q_k in t.kink_q if q_k < 0 and h0 < (p_k := math.sqrt(-2.0 * q_k)) < P]
-        _, a, b = _subdivide(np.sort(ends)[None, :], 4)
-        nodes, weights = _gauss_legendre(_DESCENT_GL_ORDER)
-        half = 0.5 * (b - a)
-        p = (half[:, None] * nodes + (0.5 * (a + b))[:, None]).ravel()
-        f = 1.0 / rho(t.inv(np.clip(-0.5 * p * p, t.W[0], t.W[-1])))
-        return p, p * p, np.outer(half, weights).ravel() * f, h0, 1.0 / rho(self.spec.T_h)
+        ends = self._descent_ends(t)
+        a, b = _subdivide(ends, 4 * np.diff(ends) / (ends[-1] - ends[0]))
+        x, half, w = gauss_legendre_on(a, b, _DESCENT_GL_ORDER)
+        p = x.ravel()
+        f = 1.0 / rho(t.T_of(-0.5 * p * p))
+        return p, p * p, np.outer(half, w).ravel() * f, ends[0], 1.0 / rho(self.spec.T_h)
 
     def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """C(|theta|) as one kernel product on the nodes of _descent, with
@@ -444,39 +439,25 @@ class HittingTimeQuadrature:
 
     def _excursion(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """\\int_0^theta ds / rho(T(s)) for theta > 0 in the turning-point angle
-        phi, m = sqrt(2 q) = theta sin(phi), s = theta (1 - cos(phi)):
-
-            theta \\int_0^{pi/2} sin(phi) g(theta sin(phi)) dphi,
-            g(m) = 1 / rho(W^{-1}(m^2 / 2)).
-
-        A row that reaches no kink above T_h takes the fixed nodes graded
-        toward phi = 0.  One that reaches k of them is cut at their
-        phi_k = asin(sqrt(2 q_k) / theta) into k + 1 panels, each graded
-        toward its ends at phi = 0 and at kinks.  Rows are grouped by k, one
-        W^{-1} call and one rho call per group."""
+        phi: theta \\int_0^{pi/2} sin(phi) g(theta sin(phi)) dphi with
+        g(m) = 1 / rho(W^{-1}(m^2 / 2)), on the panels of _angle_panels, one
+        W^{-1} call and one rho call per group of rows."""
         rho = self.spec.pair.rho.value
-        q_k = np.array(t.kink_q[bisect_right(t.kink_q, 0.0):])
-        ratio = np.sqrt(2.0 * q_k) / theta[:, None]  # < 1 where a row reaches q_k
-        reached = np.count_nonzero(ratio < 1.0, axis=1)
         out = np.empty_like(theta)
-        for k in np.unique(reached):
-            rows = np.flatnonzero(reached == k)
-            if k == 0:
+        for rows, ends, rules in _angle_panels(t, theta):
+            if len(rules) == 1:
                 sin, wsin = _PHI_SIN, _PHI_WSIN
             else:
-                rules = [_FIRST] + [_MIDDLE] * (k - 1) + [_LAST]
-                sizes = [x.size for x, _ in rules]
-                ends = np.column_stack([np.zeros(rows.size), np.arcsin(ratio[rows, :k]),
-                                        np.full(rows.size, 0.5 * np.pi)])
+                sizes = [r.x.size for r in rules]
                 # np.repeat keeps rows C-contiguous, so einsum sums each one
                 # in the same order as a row alone
                 width = np.repeat(np.diff(ends, axis=1), sizes, axis=1)
                 sin = np.sin(np.repeat(ends[:, :-1], sizes, axis=1)
-                             + width * np.concatenate([x for x, _ in rules]))
-                wsin = width * np.concatenate([w for _, w in rules]) * sin
+                             + width * np.concatenate([r.x for r in rules]))
+                wsin = width * np.concatenate([r.w for r in rules]) * sin
             m = theta[rows, None] * sin
-            g = 1.0 / rho(t.inv(np.clip(0.5 * m * m, t.W[0], t.W[-1])))
-            out[rows] = np.einsum("ij,j->i" if k == 0 else "ij,ij->i", g, wsin)
+            g = 1.0 / rho(t.T_of(0.5 * m * m))
+            out[rows] = np.einsum("ij,j->i" if sin.ndim == 1 else "ij,ij->i", g, wsin)
         return theta * out
 
     def materialize(self, theta: float, *, gamma: float | None = None,
@@ -485,38 +466,52 @@ class HittingTimeQuadrature:
         """The steady state on the trajectory of initial slope theta.
 
         R_total is (1 + gamma) R_int in ratio mode, else R_int + R_load, with
-        the closed form R_int = L I(theta) / (y_c A_c).  The panels of _splits
-        are cut into about _PROFILE_INTERVALS sub-intervals by _subdivide; their
-        cumulative GL integrals give y at the edges, a Hermite spline of s(y)
-        with the exact slope ds/dy = rho(T(s)) gives s on the n_out + 1
-        output points, and T = W^{-1}(s (2 theta - s) / 2) on them.
+        R_int = L I(theta) / (y_c A_c).  The panels of y_c (for theta > 0
+        _angle_panels mirrored onto [0, pi], then _descent_ends) are cut into
+        ~_PROFILE_INTERVALS sub-intervals shared out by width in s; their
+        cumulative integrals of ds / rho are y at the knots of a Hermite
+        spline s(y) with slope rho, and T = W^{-1}(s (2 theta - s) / 2).
         """
-        spec = self.spec
+        spec, rho = self.spec, self.spec.pair.rho.value
         _check_n_out(n_out)
+        _squared(np.array([theta]))  # as in y_c: theta^2 must be a finite float
         t = self._reach(0.5 * theta * theta if theta > 0 else 0.0)
-        th = np.array([theta])
-        _, a, b = _unmirrored(th, *_subdivide(self._splits(t, th), _PROFILE_INTERVALS))
-        seg = self._inv_rho_integrals(t, a, b, np.full(a.size, theta))
-        # y(s) counted from the hot end, where s = 0
-        s = np.concatenate([[0.0], b])
-        y = np.concatenate([[0.0], np.cumsum(seg)])
-        n = np.count_nonzero(a < theta)  # sub-intervals in [0, theta]: s[n] = theta
-        if n:  # edges 2 theta - v of [theta, 2 theta] by reflection of the
-            # edges v of [0, theta]: y(2 theta - v) = 2 y(theta) - y(v)
-            s = np.concatenate([s[:n + 1], 2.0 * theta - s[n - 1::-1], s[n + 1:]])
-            y = np.concatenate([y[:n + 1], 2.0 * y[n] - y[n - 1::-1], y[n] + y[n + 1:]])
-        slope = spec.pair.rho.value(self._T_of_s(t, theta, s))
+        I = shooting_function(spec, theta)
+        legs = [(_descent_leg, self._descent_ends(t), max(2.0 * theta, 0.0))]
+        if theta > 0:
+            ((_, (e,), rules),) = _angle_panels(t, np.array([theta]))
+            # ungraded without kinks: graded sub-panels are narrow in s, so
+            # one sub-interval each leaves s(y) short of knots near phi = 0
+            lo = e[:-1] if len(rules) == 1 else np.concatenate(
+                [e[i] + (e[i + 1] - e[i]) * r.ends[:-1] for i, r in enumerate(rules)])
+            phi = np.concatenate([lo, [0.5 * np.pi], np.pi - lo[::-1]])
+            legs.insert(0, (_angle_leg, phi, 0.0))
+        # knots from the hot end, where s = y = 0; a leg's first knot is its
+        # start (phi = 0 repeats the hot end) or h0, reached by the closed form
+        rho_h = rho(spec.T_h)
+        s, dy, slope = [np.zeros(1)], [np.zeros(1)], [np.full(1, rho_h)]
+        for leg, v, s0 in legs:
+            a, b = _subdivide(v, _PROFILE_INTERVALS * np.diff(leg(theta, v, 0)[2]) / I)
+            x, half, w = gauss_legendre_on(a, b, _PROFILE_GL_ORDER)
+            n = x.size  # one pass over the nodes, then the knots v[0] and b
+            W, ds, s_k = leg(theta, np.concatenate([x.ravel(), v[:1], b]), n)
+            r = rho(t.T_of(W))
+            s.append(s0 + s_k)
+            dy += [s_k[:1] / rho_h, np.einsum(
+                "ij,ij->i", (ds[:n] / r[:n]).reshape(x.shape), half[:, None] * w)]
+            slope.append(r[n:])
+        s, slope, y = np.concatenate(s), np.concatenate(slope), np.cumsum(np.concatenate(dy))
         # the spline needs y increasing, and a step below an ulp of y_c only
         # adds divided differences that overflow: such a knot is dropped
         y_c = float(y[-1])
         keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y_c])
         s_out = CubicHermiteSpline(y[keep], s[keep], slope[keep])(
             np.linspace(0.0, y_c, n_out + 1))
-        T = self._T_of_s(t, theta, s_out)
+        T = t.T_of(0.5 * s_out * (2.0 * theta - s_out))
 
         absJ = y_c / spec.L
         J = math.copysign(absJ, spec.V)
-        R_int = spec.L * shooting_function(spec, theta) / (y_c * spec.A_c)
+        R_int = spec.L * I / (y_c * spec.A_c)
         R_total = (1.0 + gamma) * R_int if R_load is None else R_int + R_load
         q = (s_out - theta) * absJ + spec.alpha0 * T * J
         return TemperatureSolution(

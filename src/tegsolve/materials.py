@@ -35,7 +35,7 @@ from .errors import (
 )
 
 N_NODES = 1025   # uniform nodes behind every scalar property integral
-_GL_ORDER = 8    # GL nodes per segment: exact for integrands of degree <= 15
+_SEGMENT_GL_ORDER = 8  # GL nodes per segment: exact for integrands of degree <= 15
 
 
 def _ret(x):
@@ -426,10 +426,15 @@ def pair_from_json(d: dict) -> MaterialPair:
     )
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+_gauss_legendre = lru_cache(maxsize=8)(np.polynomial.legendre.leggauss)
+
+
+def gauss_legendre_on(a: np.ndarray, b: np.ndarray, order: int):
+    """order-point Gauss-Legendre on every [a_i, b_i]: the nodes, one row per
+    interval, the half-widths (b - a) / 2 and the weights on [-1, 1]."""
+    nodes, weights = _gauss_legendre(order)
+    half = 0.5 * (b - a)
+    return half[:, None] * nodes + (0.5 * (a + b))[:, None], half, weights
 
 
 def segment_nodes(pair: MaterialPair, lo: float, hi: float, n: int = N_NODES,
@@ -445,10 +450,8 @@ def segment_nodes(pair: MaterialPair, lo: float, hi: float, n: int = N_NODES,
 def segment_integrals(f, grid: np.ndarray) -> np.ndarray:
     """8-point Gauss-Legendre integral of f (a function of a temperature
     array) over every segment of grid, in one array pass."""
-    nodes, weights = _gauss_legendre(_GL_ORDER)
-    a, b = grid[:-1], grid[1:]
-    half = 0.5 * (b - a)
-    return half * (f(half[:, None] * nodes + (0.5 * (a + b))[:, None]) @ weights)
+    x, half, weights = gauss_legendre_on(grid[:-1], grid[1:], _SEGMENT_GL_ORDER)
+    return half * (f(x) @ weights)
 
 
 def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float) -> float:

@@ -36,9 +36,22 @@ by 6.3e-11 relative, and the two_solutions tangency by 2.1e-9, within its
 1e-7 pin to the exact stationary point.  Since that rewrite,
 test_h_curve_matches_the_exact_H holds every h_curve.csv row, fresh and
 tracked, to the exact H, not only to the last reference.
+
+The solution_*.csv and .meta.json files of both legs were rewritten when
+profiles moved from panels in s (80-point Gauss-Legendre, the edges of
+[theta, 2 theta] reflected from [0, theta]) to the panels of y_c: the
+excursion's angle panels mirrored onto [0, pi], then the descent's p-panels,
+in about 1,024 sub-intervals of 16-point Gauss-Legendre.  The old profiles
+sat 5.2e-11 to 1.6e-10 T_h off the exact profile, the new ones within
+3.5e-12; test_profiles_match_the_exact_solution holds every profile, fresh
+and tracked, to it.  h_curve.csv and multiplicity.csv were kept as they
+were: y_c, R_total, gamma_equiv and eta of a fresh root now differ from the
+tracked rows by at most 1.9e-15 relative.  out/baseline_ratio, unchanged
+since the first release, is held to the exact parabola of the unit leg.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +69,7 @@ ROOT_REL = {"theta": 4e-11, "y_c": 4e-11, "R_total": 4e-11,
             "gamma_equiv": 1.2e-10, "eta": 4e-11}
 TANGENCY_ROOT_REL = 1.1e-9
 EXACT_H_REL = 5e-11  # h_curve.csv against oracles.clamped_H
+EXACT_T = 1e-11      # solution_*.csv T against oracles.clamped_profile_u, in T_h
 
 
 def _read(path):
@@ -120,3 +134,36 @@ def test_tangency_root_is_the_stationary_point(run):
         header, rows = _read(path / "multiplicity.csv")
         thetas = rows[rows[:, header.index("tangency")] == 1, header.index("theta")]
         assert thetas.tolist() == pytest.approx(want, rel=1e-7, abs=0)
+
+
+def test_profiles_match_the_exact_solution(run):
+    # kappa = 1, so T = u: the exact profile at the theta of each meta record,
+    # with y = x y_c / L from the exact hitting time (L = 1)
+    for path in run:
+        files = sorted(path.glob("solution_*.csv"))
+        assert len(files) == (3 if path.name.startswith("three") else 2)
+        for csv_path in files:
+            header, rows = _read(csv_path)
+            assert header == ["x", "T", "q"]
+            theta = json.loads(csv_path.with_suffix(".meta.json").read_text())["theta"]
+            y = rows[:, 0] * oracles.clamped_hitting_time(2.0, 48.0, 1.0, theta)
+            T = oracles.clamped_profile_u(2.0, 2.0, 48.0, theta, y)
+            assert np.max(np.abs(rows[:, 1] - T)) <= EXACT_T * 2.0, str(csv_path)
+
+
+def test_baseline_ratio_matches_the_exact_parabola(tmp_path):
+    # kappa = rho = 1, alpha0 = 1, T_h 2, T_c 1, L = A_c = 1 and gamma 1:
+    # theta = -7/4, |J| = y_c = 1/2, T = 2 - 7/4 y - y^2 / 2 with y = x / 2,
+    # and eta = 2/15; the fresh solve and the reference tracked in out/
+    assert cli.main(["solve", "--config", str(ROOT / "configs" / "baseline_ratio.json"),
+                     "--out", str(tmp_path)]) == 0
+    for path in (tmp_path, ROOT / "out" / "baseline_ratio"):
+        header, rows = _read(path / "solution.csv")
+        assert header == ["x", "T", "q"] and rows.shape == (257, 3)
+        y = 0.5 * rows[:, 0]
+        T = 2.0 - 1.75 * y - 0.5 * y * y
+        assert np.max(np.abs(rows[:, 1] - T)) <= 1e-12 * 2.0, str(path)
+        meta = json.loads((path / "solution.meta.json").read_text())
+        assert meta["theta"] == -1.75
+        assert meta["y_c"] == pytest.approx(0.5, rel=1e-14, abs=0)
+        assert meta["eta"] == pytest.approx(2.0 / 15.0, rel=1e-14, abs=0)

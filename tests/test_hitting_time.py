@@ -27,6 +27,7 @@ TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 DESCENT_NODES, DESCENT_WEIGHTS = np.polynomial.legendre.leggauss(24)
 EXCURSION_NODES, EXCURSION_WEIGHTS = np.polynomial.legendre.leggauss(16)
+PROFILE_NODES, PROFILE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _sub_intervals(ends, span):
@@ -52,18 +53,36 @@ def _graded_sub_panels(a, b, levels, toward_a):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _angle_ends(t, theta):
+    """0, the phi_k = asin(sqrt(2 q_k) / theta) of the kinks above T_h that
+    theta > 0 reaches, and pi/2."""
+    return [0.0] + [math.asin(math.sqrt(2.0 * q_k) / theta) for q_k in t.kink_q
+                    if 0 < q_k and math.sqrt(2.0 * q_k) / theta < 1.0] + [0.5 * math.pi]
+
+
+def _kink_sub_panels(ends):
+    """The sub-panels of the panels between ends, each halved and graded
+    toward its ends: _EXCURSION_LEVELS at 0, _KINK_LEVELS at a kink, none at
+    pi/2."""
+    levels = [ivp._EXCURSION_LEVELS] + [ivp._KINK_LEVELS] * (len(ends) - 2) + [0]
+    out = []
+    for i, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        mid = a + 0.5 * (b - a)
+        out += (_graded_sub_panels(a, mid, levels[i], True)
+                + _graded_sub_panels(mid, b, levels[i + 1], False))
+    return out
+
+
 def reference_excursion(q, theta):
     """\\int_0^theta ds / rho(T(s)) for theta > 0 with every panel and node
     placed by scalar loops: in phi, sqrt(2 q) = theta sin(phi), the panel
-    [0, pi/2] graded toward 0 when theta reaches no kink above T_h, else the
-    panels between 0, the phi_k = asin(sqrt(2 q_k) / theta) of the kinks it
-    reaches and pi/2, each halved and graded toward its ends at 0 and at
-    kinks.  The row is one einsum sum over its nodes, as in the kernel."""
+    [0, pi/2] graded toward 0 when theta reaches no kink above T_h, else
+    _kink_sub_panels of the panels between _angle_ends.  The row is one
+    einsum sum over its nodes, as in the kernel."""
     theta = float(theta)
     t = q._reach(0.5 * theta * theta)
     assert ivp._EXCURSION_GL_ORDER == EXCURSION_NODES.size
-    ends = [0.0] + [math.asin(math.sqrt(2.0 * q_k) / theta) for q_k in t.kink_q
-                    if 0 < q_k and math.sqrt(2.0 * q_k) / theta < 1.0] + [0.5 * math.pi]
+    ends = _angle_ends(t, theta)
     phi, wsin = [], []
     if len(ends) == 2:  # placed on [0, 1] and scaled by pi/2, as in the kernel
         for a, b in _graded_sub_panels(0.0, 1.0, ivp._EXCURSION_LEVELS, True):
@@ -71,17 +90,25 @@ def reference_excursion(q, theta):
             phi.append(x)
             wsin.append(0.5 * math.pi * (0.5 * (b - a) * EXCURSION_WEIGHTS) * np.sin(x))
     else:
-        levels = [ivp._EXCURSION_LEVELS] + [ivp._KINK_LEVELS] * (len(ends) - 2) + [0]
-        for i, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
-            mid = a + 0.5 * (b - a)
-            for c, d in (_graded_sub_panels(a, mid, levels[i], True)
-                         + _graded_sub_panels(mid, b, levels[i + 1], False)):
-                x = 0.5 * (d - c) * EXCURSION_NODES + 0.5 * (c + d)
-                phi.append(x)
-                wsin.append(0.5 * (d - c) * EXCURSION_WEIGHTS * np.sin(x))
+        for c, d in _kink_sub_panels(ends):
+            x = 0.5 * (d - c) * EXCURSION_NODES + 0.5 * (c + d)
+            phi.append(x)
+            wsin.append(0.5 * (d - c) * EXCURSION_WEIGHTS * np.sin(x))
     m = theta * np.sin(np.concatenate(phi))
     g = 1.0 / q.spec.pair.rho.value(t.inv(np.clip(0.5 * m * m, t.W[0], t.W[-1])))
     return theta * float(np.einsum("j,j->", g, np.concatenate(wsin)))
+
+
+def _descent_ends(q, t):
+    """The descent's panel ends in p, sorted: P 4^-k for k = _DESCENT_LEVELS
+    .. 0, P = sqrt(2r), and the sqrt(-2 q_k) of the kinks below T_h."""
+    P = math.sqrt(2.0 * q.spec.rk)
+    h0 = P * 0.25 ** ivp._DESCENT_LEVELS
+    ends = {P * 0.25 ** k for k in range(ivp._DESCENT_LEVELS + 1)}
+    for q_k in t.kink_q:
+        if q_k < 0 and h0 < math.sqrt(-2.0 * q_k) < P:
+            ends.add(math.sqrt(-2.0 * q_k))
+    return sorted(ends)
 
 
 def reference_y_c(q, theta):
@@ -100,14 +127,10 @@ def reference_y_c(q, theta):
 
     assert ivp._DESCENT_GL_ORDER == DESCENT_NODES.size
     tau = abs(theta)
-    P = math.sqrt(2.0 * q.spec.rk)
-    h0 = P * 0.25 ** ivp._DESCENT_LEVELS
-    ends = {P * 0.25 ** k for k in range(ivp._DESCENT_LEVELS + 1)}
-    for q_k in t.kink_q:
-        if q_k < 0 and h0 < math.sqrt(-2.0 * q_k) < P:
-            ends.add(math.sqrt(-2.0 * q_k))
+    ends = _descent_ends(q, t)
+    h0, P = ends[0], ends[-1]
     p, wf = [], []
-    for a, b in _sub_intervals(sorted(ends), P - h0):
+    for a, b in _sub_intervals(ends, P - h0):
         x = 0.5 * (b - a) * DESCENT_NODES + 0.5 * (a + b)
         p.append(x)
         wf.append(0.5 * (b - a) * DESCENT_WEIGHTS * inv_rho(-0.5 * x * x))
@@ -327,19 +350,64 @@ def test_theta_squared_overflow_raises_numerical_blowup():
         q.materialize(-1e200, gamma=1.0)
 
 
-def full_panel_profile(q, theta, n_out=ivp.N_OUT):
-    """(T, y_c) of materialize(theta) by the rule before mirroring: every
-    sub-interval integrated, the [theta, 2 theta] edges included."""
-    t = q._table
-    _, a, b = ivp._subdivide(q._splits(t, np.array([theta])), ivp._PROFILE_INTERVALS)
-    seg = q._inv_rho_integrals(t, a, b, np.full(a.size, theta))
-    y = np.concatenate([[0.0], np.cumsum(seg)])
-    s = np.concatenate([[0.0], b])
-    slope = q.spec.pair.rho.value(q._T_of_s(t, theta, s))
-    keep = np.concatenate([[True], np.diff(y) > 0])
+def reference_profile(q, theta, n_out=ivp.N_OUT):
+    """(T, y_c) of materialize(theta) with every panel and sub-interval
+    placed by scalar loops.  For theta > 0 the excursion's panels in phi,
+    s = 2 theta sin^2(phi / 2): [0, pi/2] whole when theta reaches no kink
+    above T_h, else _kink_sub_panels, mirrored onto [0, pi].  Then the
+    descent's p-panels from h0 to P, s = 2 max(theta, 0) + p^2 /
+    (hypot(theta, p) + |theta|), after [0, h0] in closed form.  Each panel is
+    cut into ceil(1024 ds / I) equal sub-intervals of 16-point Gauss-Legendre
+    of ds / rho; a Hermite spline of s(y) through their ends with slope rho
+    gives T = W^-1(s (2 theta - s) / 2) on the output points."""
+    theta, tau = float(theta), abs(float(theta))
+    t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
+    rho = q.spec.pair.rho.value
+    I = float(tg.shooting_function(q.spec, theta))
+    assert ivp._PROFILE_GL_ORDER == PROFILE_NODES.size
+
+    def T(W):
+        return t.inv(np.clip(W, t.W[0], t.W[-1]))
+
+    def angle(phi):  # W, ds/dphi and s
+        m = theta * np.sin(phi)
+        return 0.5 * m * m, m, 2.0 * theta * np.sin(0.5 * phi) ** 2
+
+    def descent(p):  # W, ds/dp and s less 2 max(theta, 0); p > 0
+        h = np.hypot(theta, p)
+        return -0.5 * p * p, p / h, p * (p / (h + tau))
+
+    legs = []
+    if theta > 0:
+        ends = _angle_ends(t, theta)
+        lo = [0.0] if len(ends) == 2 else [c for c, _ in _kink_sub_panels(ends)]
+        legs.append((angle, lo + [0.5 * math.pi] + [math.pi - v for v in reversed(lo)], 0.0))
+    legs.append((descent, _descent_ends(q, t), max(2.0 * theta, 0.0)))
+    rho_h = float(rho(q.spec.T_h))
+    s, y, slope = [0.0], [0.0], [rho_h]
+    for leg, ends, s0 in legs:
+        first = float(leg(ends[0])[2])
+        s.append(s0 + first)
+        y.append(y[-1] + first / rho_h)
+        slope.append(float(rho(T(leg(ends[0])[0]))))
+        for a, b in zip(ends[:-1], ends[1:]):
+            ds = float(leg(b)[2] - leg(a)[2])
+            n_sub = math.ceil(1024 * ds / I) if ds > 0 else 0
+            for j in range(n_sub):
+                c = j * ((b - a) / n_sub) + a
+                d = b if j + 1 == n_sub else (j + 1) * ((b - a) / n_sub) + a
+                x = 0.5 * (d - c) * PROFILE_NODES + 0.5 * (c + d)
+                W, dsdx, _ = leg(x)
+                y.append(y[-1] + float(np.einsum("j,j->", dsdx / rho(T(W)),
+                                                 0.5 * (d - c) * PROFILE_WEIGHTS)))
+                W_d, _, s_d = leg(d)
+                s.append(s0 + float(s_d))
+                slope.append(float(rho(T(W_d))))
+    s, y, slope = np.array(s), np.array(y), np.array(slope)
+    keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y[-1]])
     s_out = CubicHermiteSpline(y[keep], s[keep], slope[keep])(
         np.linspace(0.0, y[-1], n_out + 1))
-    return q._T_of_s(t, theta, s_out), float(y[-1])
+    return T(0.5 * s_out * (2.0 * theta - s_out)), float(y[-1])
 
 
 def _mirror_cases():
@@ -368,23 +436,12 @@ def test_mirrored_panels_match_full_panel_rule(name, spec, monkeypatch):
     want = [2.0 * reference_excursion(q, th) if th > 0 else 0.0 for th in thetas]
     np.testing.assert_array_equal(got[thetas <= 0], 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
+    # the profile takes those panels mirrored onto [0, pi], then the descent's
     for theta in thetas[[1, 4, 7, 9]]:
-        T_want, y_c_want = full_panel_profile(q, float(theta))
+        T_want, y_c_want = reference_profile(q, float(theta))
         sol = q.materialize(float(theta), gamma=1.0)
         assert np.max(np.abs(sol.T - T_want)) <= 1e-14 * spec.T_h, (name, theta)
         assert sol.y_c == pytest.approx(y_c_want, rel=1e-14, abs=0), (name, theta)
-
-
-def test_materialize_where_mirrored_panels_get_no_sub_interval(monkeypatch):
-    # 512 * theta / span underflows to 0: [0, theta] and [-theta, 0] both get
-    # no sub-interval, so there is nothing to reflect
-    monkeypatch.setattr(ivp, "_N_BASE", 257)
-    pair = tg.MaterialPair(kappa=tg.constant(1e3), rho=tg.constant(1e3), alpha0=1.0)
-    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
-    T_want, y_c_want = full_panel_profile(q, 5e-324)
-    sol = q.materialize(5e-324, gamma=1.0)
-    np.testing.assert_array_equal(sol.T, T_want)
-    assert sol.y_c == y_c_want
 
 
 def eager_first_block(q):
@@ -448,27 +505,6 @@ def test_table_taken_before_an_extension_still_gives_the_same_y_c():
         late = tg.HittingTimeQuadrature(spec)
         late.y_c(0.5 * s)
         np.testing.assert_array_equal(late.y_c(thetas), first, str(idx))
-
-
-def test_splits_take_only_the_kinks_some_theta_reaches():
-    # rho a 9-knot table on [0.5, 4.5] K: one knot inside (T_c, T_h), one at
-    # T_h, five above it once the grid is extended
-    knots = [(0.5 * (i + 1), 1.0 + 0.25 * (i % 3)) for i in range(9)]
-    pair = tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.table(knots), alpha0=1.0)
-    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
-    s = math.sqrt(2.0 * q.spec.rk)
-    thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0])
-    first = q.y_c(thetas)
-    q.y_c(10.0)  # W(4.5) - W(T_h) < 50: every knot inside the grid
-    t = q._table
-    assert sum(q_k < 0 for q_k in t.kink_q) == 1 and len(t.kink_q) == 7
-    # theta <= 0: 0, I, two absent mirror ends and the one kink below T_h
-    assert q._splits(t, thetas).shape == (4, 4 + 2 * 1)
-    np.testing.assert_array_equal(q.y_c(thetas), first)
-    # theta = 2 reaches the kinks with q_k < 2, the one at T_h included
-    reach = sum(q_k < 2.0 for q_k in t.kink_q)
-    assert 1 < reach < 7
-    assert q._splits(t, np.array([-s, 2.0])).shape == (2, 4 + 2 * reach)
 
 
 def test_threads_sharing_one_quadrature_get_the_single_thread_y_c():
@@ -621,10 +657,10 @@ def test_kink_below_T_h_is_a_descent_panel_end(monkeypatch):
     ends = []
     subdivide = ivp._subdivide
     monkeypatch.setattr(ivp, "_subdivide",
-                        lambda pts, n: ends.append(pts.copy()) or subdivide(pts, n))
+                        lambda e, share: ends.append(e.copy()) or subdivide(e, share))
     q.y_c(-1.0)
-    (row,) = ends[0]
-    assert math.sqrt(-2.0 * q_k) in row
+    (descent,) = ends
+    assert math.sqrt(-2.0 * q_k) in descent
 
 
 def test_scan_below_T_h_evaluates_only_the_descent_nodes():
@@ -678,19 +714,3 @@ def test_y_c_on_the_three_solutions_scan_matches_the_closed_form():
     got = tg.HittingTimeQuadrature(prob.spec).y_c(grid)
     exact = np.array([oracles.clamped_hitting_time(2.0, 48.0, 1.0, th) for th in grid])
     assert np.max(np.abs(got - exact) / exact) <= 1e-10
-
-
-def test_excursion_builds_no_s_panels(monkeypatch):
-    # theta > 0 takes fixed phi nodes or per-row kink panels, never the
-    # whole-drop panels in s that materialize uses
-    knots = [(0.5 * (i + 1), 1.0 + 0.25 * (i % 3)) for i in range(9)]
-    pair = tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.table(knots), alpha0=1.0)
-    for spec in (three_solution_problem().spec,
-                 tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0)):
-        q = tg.HittingTimeQuadrature(spec)
-        q.y_c(-1.0)  # the descent, built once with _subdivide
-        with monkeypatch.context() as m:
-            m.setattr(ivp, "_subdivide", None)
-            m.setattr(ivp.HittingTimeQuadrature, "_splits", None)
-            got = q.y_c(np.linspace(0.01, 6.0, 100))
-        assert np.all(np.isfinite(got)) and np.all(got > 0)

@@ -165,22 +165,56 @@ def test_materialize_where_rk45_event_polish_fails():
     assert np.max(np.abs(w ** 2 - (theta ** 2 - 2.0 * W))) <= TOL_ENERGY * scale
 
 
-def test_materialize_with_panel_below_an_ulp_of_y():
-    # a table knot 1e-13 K above T_h puts a kink image a few ulps from
-    # -theta, where rho is 50x lower above T_h and y is large: that
-    # sub-interval adds no step in y (4.4e-15 from y_c when measured)
+@pytest.mark.parametrize("rho_e", [0.02, 0.005])
+@pytest.mark.parametrize("theta", [5.0, 20.0])
+def test_materialize_with_panel_below_an_ulp_of_y(theta, rho_e):
+    # a table knot 1e-13 K above T_h ends an angle panel whose sub-intervals
+    # add y steps below an ulp of y_c (spline knots that are dropped), and
+    # rho falls 50x or 200x over the next kelvin; the profile integrates on
+    # the panels of y_c, whose excursion grades toward that kink
     spec = tg.GeneratorSpec(
-        pair=tg.MaterialPair(tg.constant(1.0), oracles.steep_table_rho(0.02), 3.0),
+        pair=tg.MaterialPair(tg.constant(1.0), oracles.steep_table_rho(rho_e), 3.0),
         T_h=2.0, T_c=1.0)
     q = tg.HittingTimeQuadrature(spec)
-    exact = oracles.steep_hitting_time(0.02, 20.0)
-    assert abs(q.y_c(20.0) - exact) <= 1e-12 * exact
-    sol = q.materialize(20.0, R_load=1.0)
-    # materialize's panels in s miss the ramp's near-zero past 3 K by
-    # 1.57e-9 when measured
-    assert abs(sol.y_c - exact) <= 1.6e-9 * exact
+    exact = oracles.steep_hitting_time(rho_e, theta)
+    assert abs(q.y_c(theta) - exact) <= 1e-12 * exact
+    sol = q.materialize(theta, R_load=1.0)
+    # 2.0e-13 when measured
+    assert abs(sol.y_c - exact) <= 1e-12 * exact
     assert sol.T[0] == spec.T_h
     assert abs(sol.T[-1] - spec.T_c) <= 1e-12
+
+
+def test_three_solutions_profiles_match_the_exact_solution():
+    # kappa = 1, so T = u: the exact profile is a trigonometric arc above T_h
+    # and a parabola below it (4.4e-12 T_h when measured)
+    prob = three_solution_problem()
+    spec = prob.spec
+    q = tg.HittingTimeQuadrature(spec)
+    for theta in np.linspace(-3.0, 0.5 * abs(spec.V), 81):
+        sol = q.materialize(float(theta), R_load=prob.R_load)
+        y_c = oracles.clamped_hitting_time(2.0, 48.0, 1.0, float(theta))
+        T = oracles.clamped_profile_u(spec.u_h, 2.0, 48.0, float(theta),
+                                      sol.x * y_c / spec.L)
+        assert np.max(np.abs(sol.T - T)) <= 1e-10 * spec.T_h, theta
+
+
+# the worst |T - T_RK45| / T_h over the first 16 random legs at each theta / P
+# as the panels in s measured it: the profile must not be worse
+RK45_PROFILE_BOUND = {-1.0: 7.5e-11, 0.5: 1.2e-9, 1.0: 1.8e-8, 2.0: 8.6e-7}
+
+
+def test_materialized_profiles_on_random_legs_match_rk45():
+    rng = np.random.default_rng(71)
+    for idx in range(16):
+        spec = random_spec(rng, idx)
+        q = tg.HittingTimeQuadrature(spec)
+        P = math.sqrt(2.0 * spec.rk)
+        for f, bound in RK45_PROFILE_BOUND.items():
+            sol = q.materialize(f * P, R_load=1.0)
+            tr = oracles.integrate_ivp(spec, f * P, tol_ode=1e-12)
+            T_ref = tr.at(sol.x * (tr.y_c / spec.L))[2]
+            assert np.max(np.abs(sol.T - T_ref)) <= bound * spec.T_h, (idx, f)
 
 
 # ---------------------------------------------------------------------------
