@@ -74,11 +74,11 @@ class GeneratorSpec:
 
     def K(self, T):
         """u = K(T) = T_c + \\int_{T_c}^{T} kappa dT for T >= T_c: a float for
-        scalar T, else an array of T's shape.  DomainError below T_c or for
-        a T that is not finite."""
+        scalar T, else an array of T's shape.  DomainError below T_c, and
+        K_table's range check up to the largest T."""
         T = np.asarray(T, dtype=float)
-        if not np.all((T >= self.T_c) & np.isfinite(T)):
-            raise DomainError(f"K(T) needs finite T >= T_c={self.T_c}")
+        if not np.all(T >= self.T_c):
+            raise DomainError(f"K(T) needs T >= T_c={self.T_c}")
         grid, u = self.K_table(np.max(T, initial=self.T_c), extra=T)
         return _ret(u[np.searchsorted(grid, T)])
 
@@ -86,7 +86,8 @@ class GeneratorSpec:
         """segment_nodes on [T_c, T_top], the extra temperatures merged in,
         and K on them: running sums of the segment integrals with
         each addition's rounding error added back (TwoSum), so every K is as
-        accurate as a pairwise sum."""
+        accurate as a pairwise sum.  The range must pass pair.validate_range."""
+        self.pair.validate_range(self.T_c, T_top)
         grid = segment_nodes(self.pair, self.T_c, T_top, extra=extra)
         x = np.concatenate([[self.T_c], segment_integrals(self.pair.kappa.value, grid)])
         u = np.cumsum(x)

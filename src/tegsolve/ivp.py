@@ -52,8 +52,6 @@ from .errors import (
 )
 from .materials import _ret, gauss_legendre_on, segment_integrals, segment_nodes
 
-TOL_ETA = 1e-6      # closed-form vs flux-ratio efficiency agreement
-TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
 _PROFILE_INTERVALS = 1024  # sub-intervals behind one profile, shared out by width in s
@@ -64,6 +62,7 @@ _DESCENT_LEVELS = 16    # panels [P 4^-k-1, P 4^-k] graded toward p = 0
 _EXCURSION_GL_ORDER = 16  # Gauss-Legendre nodes per panel of the excursion in phi
 _EXCURSION_LEVELS = 4     # panels graded by 1/4 toward phi = 0
 _KINK_LEVELS = 6          # panels graded by 1/4 toward a kink above T_h
+_THETA_MAX = math.sqrt(np.finfo(float).max)  # the largest |theta| with a finite square
 
 
 class _Rule(NamedTuple):
@@ -244,10 +243,14 @@ def _descent_leg(theta: float, p: np.ndarray, n: int):
     return -0.5 * p * p, p / h, p[n:] * (p[n:] / (h[n:] + abs(theta)))
 
 
-def _squared(theta: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(tt := theta * theta)):
+def _squared(theta):
+    """theta^2; DomainError for NaN, NumericalBlowup where it would overflow."""
+    a = np.abs(theta)
+    if np.any(np.isnan(a)):
+        raise DomainError("theta must not be NaN")
+    if not np.all(a <= _THETA_MAX):
         raise NumericalBlowup("theta^2 is not a finite float")
-    return tt
+    return theta * theta
 
 
 def _stall_error(T: float) -> NumericalBlowup:
@@ -391,10 +394,7 @@ class HittingTimeQuadrature:
         float for scalar theta, else an array of theta's shape."""
         theta = np.asarray(theta, dtype=float)
         flat = theta.ravel()
-        top = flat.max(initial=0.0)
-        if np.isnan(top):
-            raise DomainError("y_c needs theta values that are not NaN")
-        t = self._reach(0.5 * top * top)
+        t = self._reach(0.5 * _squared(flat.max(initial=0.0)))
         out = np.empty_like(flat)
         for i in range(0, flat.size, _Y_C_CHUNK):
             out[i:i + _Y_C_CHUNK] = self._y_c_chunk(t, flat[i:i + _Y_C_CHUNK])
@@ -465,7 +465,8 @@ class HittingTimeQuadrature:
                     n_out: int = N_OUT) -> TemperatureSolution:
         """The steady state on the trajectory of initial slope theta.
 
-        R_total is (1 + gamma) R_int in ratio mode, else R_int + R_load, with
+        Exactly one of gamma and R_load, finite and >= 0: R_total is
+        (1 + gamma) R_int in ratio mode, else R_int + R_load, with
         R_int = L I(theta) / (y_c A_c).  The panels of y_c (for theta > 0
         _angle_panels mirrored onto [0, pi], then _descent_ends) are cut into
         ~_PROFILE_INTERVALS sub-intervals shared out by width in s; their
@@ -474,8 +475,12 @@ class HittingTimeQuadrature:
         """
         spec, rho = self.spec, self.spec.pair.rho.value
         _check_n_out(n_out)
-        _squared(np.array([theta]))  # as in y_c: theta^2 must be a finite float
-        t = self._reach(0.5 * theta * theta if theta > 0 else 0.0)
+        if (gamma is None) == (R_load is None) or not 0 <= (
+                R_load if gamma is None else gamma) < math.inf:
+            raise DomainError("materialize needs exactly one of gamma and R_load, "
+                              f"finite and >= 0, got gamma={gamma}, R_load={R_load}")
+        q_top = 0.5 * _squared(theta)  # the checks of y_c on theta
+        t = self._reach(q_top if theta > 0 else 0.0)
         I = shooting_function(spec, theta)
         legs = [(_descent_leg, self._descent_ends(t), max(2.0 * theta, 0.0))]
         if theta > 0:

@@ -52,8 +52,8 @@ class LoadResistanceProblem:
     R_load: float
 
     def __post_init__(self):
-        if self.R_load < 0:
-            raise DomainError(f"R_load must be >= 0, got {self.R_load}")
+        if not 0 <= self.R_load < math.inf:
+            raise DomainError(f"R_load must be finite and >= 0, got {self.R_load}")
 
     @property
     def S_load(self) -> float:

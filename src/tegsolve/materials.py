@@ -45,11 +45,8 @@ def _ret(x):
 
 
 def _require_finite(model: "PropertyModel") -> None:
-    """InvalidMaterial unless every parameter and domain_low is finite."""
-    vals = [x for v in model.params().values() for x in np.ravel(v)]
-    if model.domain_low is not None:
-        vals.append(model.domain_low)
-    if not all(math.isfinite(x) for x in vals):
+    """InvalidMaterial unless every parameter is finite."""
+    if not all(math.isfinite(x) for v in model.params().values() for x in np.ravel(v)):
         raise InvalidMaterial(f"{model.family} family needs finite parameters, "
                               f"got {model.params()}")
 
@@ -61,12 +58,11 @@ class PropertyModel:
     Subclasses provide raw evaluation (``value``) and kink temperatures
     (slope discontinuities, which every integral uses as segment ends).  A
     subclass's dataclass fields are its material-file schema: the family's
-    parameters, then the optional domain_low (and a pair-level partner).
+    parameters (and a pair-level partner).  Every family is monotone in T > 0
+    between its kinks, or, for wiedemann_franz, positive where its partner is.
     """
 
     family: ClassVar[str] = "abstract"
-    # Families whose formula needs T > 0 (logarithms, reciprocals).
-    _needs_positive_T: ClassVar[bool] = False
 
     def value(self, T):
         raise NotImplementedError
@@ -75,18 +71,16 @@ class PropertyModel:
         return ()
 
     def params(self) -> dict:
-        """The family's parameters: every field but domain_low and partner."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("domain_low", "partner")}
+        """The family's parameters: every field but partner."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "partner"}
 
     def to_json(self) -> dict:
-        return {"family": self.family, **self.params(), "domain_low": self.domain_low}
+        return {"family": self.family, **self.params()}
 
 
 @dataclass(frozen=True)
 class Constant(PropertyModel):
     c: float
-    domain_low: float = 0.0
     family: ClassVar[str] = "constant"
 
     def __post_init__(self):
@@ -104,7 +98,6 @@ class Linear(PropertyModel):
 
     a: float
     b: float
-    domain_low: float | None = None
     family: ClassVar[str] = "linear"
 
     def __post_init__(self):
@@ -113,11 +106,6 @@ class Linear(PropertyModel):
             raise InvalidMaterial("linear family with a = 0 needs b > 0")
         if self.a < 0 and self.b <= 0:
             raise InvalidMaterial("linear family is never positive for a < 0, b <= 0")
-        if self.domain_low is None:
-            low = 0.0
-            if self.a > 0 and self.b < 0:
-                low = -self.b / self.a  # positive only above the root
-            object.__setattr__(self, "domain_low", low)
 
     def value(self, T):
         return _ret(self.a * np.asarray(T, dtype=float) + self.b)
@@ -128,9 +116,7 @@ class Reciprocal(PropertyModel):
     """c / T."""
 
     c: float
-    domain_low: float = 0.0
     family: ClassVar[str] = "reciprocal"
-    _needs_positive_T: ClassVar[bool] = True
 
     def __post_init__(self):
         _require_finite(self)
@@ -148,9 +134,7 @@ class LogAffine(PropertyModel):
     c0: float
     c1: float
     T_ref: float
-    domain_low: float | None = None
     family: ClassVar[str] = "log_affine"
-    _needs_positive_T: ClassVar[bool] = True
 
     def __post_init__(self):
         _require_finite(self)
@@ -158,12 +142,6 @@ class LogAffine(PropertyModel):
             raise InvalidMaterial(f"log_affine family needs c0 > 0, got {self.c0}")
         if self.T_ref <= 0:
             raise InvalidMaterial(f"log_affine family needs T_ref > 0, got {self.T_ref}")
-        if self.domain_low is None:
-            low = 0.0
-            if self.c1 > 0:
-                # value crosses zero at T_ref * exp(-1/c1) from below
-                low = self.T_ref * math.exp(-1.0 / self.c1)
-            object.__setattr__(self, "domain_low", low)
 
     def value(self, T):
         T = np.asarray(T, dtype=float)
@@ -181,7 +159,6 @@ class ClampedLinear(PropertyModel):
     M: float
     T_pivot: float
     v_pivot: float
-    domain_low: float = 0.0
     family: ClassVar[str] = "clamped_linear"
 
     def __post_init__(self):
@@ -207,7 +184,6 @@ class WiedemannFranz(PropertyModel):
     """
 
     Lo: float
-    domain_low: float = 0.0
     partner: PropertyModel | None = None
     family: ClassVar[str] = "wiedemann_franz"
 
@@ -241,7 +217,6 @@ class Table(PropertyModel):
     """
 
     knots: tuple[tuple[float, float], ...]
-    domain_low: float = 0.0
     family: ClassVar[str] = "table"
 
     def __post_init__(self):
@@ -316,7 +291,7 @@ def number(key: str, v, error=InvalidMaterial, whole: bool = False):
 
 def model_from_json(d: dict) -> PropertyModel:
     """Build a PropertyModel from its JSON dict form: "family" plus the
-    family's fields (domain_low optional, null meaning the default)."""
+    family's fields."""
     if not isinstance(d, dict) or "family" not in d:
         raise InvalidMaterial("property model must be an object with a 'family' key")
     fam = d["family"]
@@ -326,8 +301,6 @@ def model_from_json(d: dict) -> PropertyModel:
         )
     kwargs = from_fields(_FAMILIES[fam], d, f"the {fam} family", extra=("family",),
                          skip=("partner",))
-    if kwargs.get("domain_low") is None:
-        kwargs.pop("domain_low", None)
     try:
         for k, v in kwargs.items():
             key = f"the {fam} family's {k!r}"
@@ -339,25 +312,19 @@ def model_from_json(d: dict) -> PropertyModel:
 
 
 def eval_property(model: PropertyModel, T):
-    """Checked property evaluation: domain guard plus strict positivity.
-
-    Raises DomainError below domain_low (or at T <= 0 for families that need a
-    positive temperature) and NonPositiveValue if the formula or table yields
-    a value <= 0.
-    """
+    """Checked property evaluation: DomainError unless every T is finite and
+    > 0, NonPositiveValue unless every value is finite and > 0."""
     arr = np.asarray(T, dtype=float)
-    if np.any(arr < model.domain_low):
-        raise DomainError(
-            f"temperature {arr.min() if arr.ndim else float(arr)} below "
-            f"domain_low={model.domain_low} for family {model.family!r}"
-        )
-    if model._needs_positive_T and np.any(arr <= 0):
-        raise DomainError(f"family {model.family!r} needs T > 0")
-    v = model.value(arr)
-    if np.any(np.asarray(v) <= 0):
-        raise NonPositiveValue(
-            f"family {model.family!r} evaluated to a non-positive value"
-        )
+    ok = (arr > 0) & (arr < math.inf)
+    if not ok.all():
+        raise DomainError(f"family {model.family!r} needs finite T > 0, "
+                          f"got T={arr[~ok].flat[0]}")
+    with np.errstate(all="ignore"):  # an overflow or 0 / 0 is caught below
+        v = np.asarray(model.value(arr), dtype=float)
+    ok = (v > 0) & (v < math.inf)
+    if not ok.all():
+        raise NonPositiveValue(f"family {model.family!r} needs a finite value > 0, "
+                               f"got {v[~ok].flat[0]} at T={arr[~ok].flat[0]}")
     return _ret(v)
 
 
@@ -385,24 +352,18 @@ class MaterialPair:
         if r_wf and self.rho.partner is None:
             object.__setattr__(self, "rho", replace(self.rho, partner=self.kappa))
 
-    @property
-    def domain_low(self) -> float:
-        return max(self.kappa.domain_low, self.rho.domain_low)
-
     def validate_range(self, T_lo: float, T_hi: float) -> None:
-        """Check both models are defined and positive on [T_lo, T_hi]: at 17
-        uniform probes and every kink inside."""
-        if T_lo < self.domain_low:
-            raise DomainError(
-                f"[{T_lo}, {T_hi}] not contained in the models' valid domain "
-                f"(domain_low={self.domain_low})"
-            )
-        probes = np.linspace(T_lo, T_hi, 17)
-        kinks = [t for m in (self.kappa, self.rho) for t in m.kinks() if T_lo < t < T_hi]
-        if kinks:
-            probes = np.concatenate([probes, kinks])
-        eval_property(self.kappa, probes)
-        eval_property(self.rho, probes)
+        """DomainError unless T_lo <= T_hi, then eval_property of both
+        models at T_lo, T_hi and every kink inside.  This is exact, not a
+        sampling: every family is monotone between its kinks (and
+        wiedemann_franz has the sign of its partner), so a model that is
+        finite and > 0 at these points is so on all of [T_lo, T_hi]."""
+        if not T_lo <= T_hi:
+            raise DomainError(f"need T_lo <= T_hi, got [{T_lo}, {T_hi}]")
+        T = np.array([T_lo, T_hi, *(t for m in (self.kappa, self.rho)
+                                    for t in m.kinks() if T_lo < t < T_hi)])
+        eval_property(self.kappa, T)
+        eval_property(self.rho, T)
 
     def rho_kappa(self, T):
         """The coupling integrand rho(T) * kappa(T), unchecked."""
@@ -458,16 +419,9 @@ def rho_kappa_integral(pair: MaterialPair, T_lo: float, T_hi: float) -> float:
     """Coupling integral r = \\int_{T_lo}^{T_hi} rho(T) kappa(T) dT (>= 0).
 
     The pairwise sum of segment_integrals on N_NODES uniform nodes plus the
-    kinks; the pairwise sum keeps the rounding near one ulp of r.
+    kinks; the pairwise sum keeps the rounding near one ulp of r.  The range
+    must pass pair.validate_range.
     """
-    if not (T_lo <= T_hi and math.isfinite(T_hi - T_lo)):
-        raise DomainError(f"need finite T_lo <= T_hi, got [{T_lo}, {T_hi}]")
-    if T_lo < pair.domain_low:
-        raise DomainError(
-            f"[{T_lo}, {T_hi}] outside the models' valid domain "
-            f"(domain_low={pair.domain_low})"
-        )
-    if T_lo == T_hi:
-        return 0.0
+    pair.validate_range(T_lo, T_hi)
     return float(np.sum(segment_integrals(pair.rho_kappa,
                                           segment_nodes(pair, T_lo, T_hi))))

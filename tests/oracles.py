@@ -36,6 +36,8 @@ from tegsolve.materials import rho_kappa_integral
 
 TOL_ODE = 1e-10     # rtol for the adaptive integrator
 TOL_EVENT = 1e-12   # |u(y_c) - u_c| target, scaled by max(1, |u_c|)
+TOL_ETA = 1e-6      # closed-form vs flux-ratio efficiency agreement
+TOL_ENERGY = 1e-8   # energy identity, relative to max(1, theta^2 + 2r)
 
 
 @dataclass(frozen=True, eq=False)

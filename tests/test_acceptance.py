@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import tegsolve as tg
-from tegsolve.ivp import TOL_ENERGY
 
 import oracles
 from helpers import (quad_K, random_spec, three_solution_problem, two_solution_problem,
                      unit_spec)
-from oracles import TOL_EVENT
+from oracles import TOL_ENERGY, TOL_EVENT
 
 
 @contextmanager

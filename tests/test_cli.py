@@ -258,10 +258,10 @@ def test_config_number_given_as_text_or_bool_exit_code_and_record(
 @pytest.mark.parametrize("kappa, alpha0, key", [
     ({"family": "constant", "c": 1.0}, "2", "'alpha0'"),
     ({"family": "constant", "c": 1.0}, True, "'alpha0'"),
-    ({"family": "constant", "c": 1.0, "domain_low": "0.5"}, 1.0, "'domain_low'"),
+    ({"family": "log_affine", "c0": 1.0, "c1": 0.5, "T_ref": "0.8"}, 1.0, "'T_ref'"),
     ({"family": "constant", "c": True}, 1.0, "'c'"),
     ({"family": "table", "knots": [[1.0, 1.0], [2.0, True]]}, 1.0, "'knots'"),
-], ids=["alpha0_text", "alpha0_bool", "domain_low_text", "c_bool", "knot_bool"])
+], ids=["alpha0_text", "alpha0_bool", "T_ref_text", "c_bool", "knot_bool"])
 def test_material_number_given_as_text_or_bool_exit_code_and_record(
         tmp_path, capsys, kappa, alpha0, key):
     mat = tmp_path / "material.json"
@@ -440,7 +440,9 @@ def test_non_numeric_material_field_exit_code_and_record(tmp_path, capsys, mater
     ({"kappa": {"family": "constant", "c": 1.0},
       "rho": {"family": "linear", "a": 1.0, "b": 1.0, "domain_lo": 0.5},
       "alpha0": 1.0}, "domain_lo"),
-], ids=["pair_level", "model_level", "domain_low_typo"])
+    ({"kappa": {"family": "constant", "c": 1.0, "domain_low": 0.5},
+      "rho": {"family": "constant", "c": 1.0}, "alpha0": 1.0}, "domain_low"),
+], ids=["pair_level", "model_level", "domain_low_typo", "domain_low_removed"])
 def test_unknown_material_key_exit_code_and_record(tmp_path, capsys, material, key):
     mat = tmp_path / "material.json"
     mat.write_text(json.dumps(material))

@@ -347,7 +347,17 @@ def test_theta_squared_overflow_raises_numerical_blowup():
     with pytest.raises(tg.NumericalBlowup, match="not a finite float"):
         q.y_c(-1e200)
     with pytest.raises(tg.NumericalBlowup, match="not a finite float"):
+        q.y_c(1e200)
+    with pytest.raises(tg.NumericalBlowup, match="not a finite float"):
         q.materialize(-1e200, gamma=1.0)
+
+
+def test_nan_theta_raises_domain_error():
+    q = tg.HittingTimeQuadrature(_spec_at(3, 2))
+    with pytest.raises(tg.DomainError):
+        q.y_c(math.nan)
+    with pytest.raises(tg.DomainError):
+        q.materialize(math.nan, gamma=1.0)
 
 
 def reference_profile(q, theta, n_out=ivp.N_OUT):

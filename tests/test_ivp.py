@@ -10,12 +10,11 @@ from scipy.optimize import brentq
 
 import tegsolve as tg
 from tegsolve.errors import NonPositiveHotFlux
-from tegsolve.ivp import TOL_ENERGY, TOL_ETA
 
 import oracles
 from helpers import (KAPPA_FAMILIES, make_model, quad_K, random_spec,
                      three_solution_problem, unit_spec)
-from oracles import TOL_EVENT
+from oracles import TOL_ENERGY, TOL_ETA, TOL_EVENT
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +300,17 @@ def test_zero_voltage_profile_on_every_kappa_family(kap_fam):
 def test_n_out_below_one_raises_domain_error(solve):
     with pytest.raises(tg.DomainError, match="n_out"):
         solve()
+
+
+@pytest.mark.parametrize("load", [
+    {}, {"gamma": 1.0, "R_load": 1.0}, {"gamma": math.inf}, {"gamma": math.nan},
+    {"gamma": -1.0}, {"R_load": math.inf}, {"R_load": math.nan}, {"R_load": -1.0},
+    {"gamma": None, "R_load": None},
+], ids=["neither", "both", "gamma_inf", "gamma_nan", "gamma_negative", "R_load_inf",
+        "R_load_nan", "R_load_negative", "both_none"])
+def test_materialize_needs_exactly_one_finite_non_negative_load(load):
+    with pytest.raises(tg.DomainError, match="exactly one of gamma and R_load"):
+        tg.HittingTimeQuadrature(unit_spec()).materialize(0.5, **load)
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])

@@ -276,8 +276,9 @@ def test_scan_samples_below_two_rejected():
 
 
 def test_negative_R_load_rejected():
-    with pytest.raises(DomainError):
-        tg.LoadResistanceProblem(spec=unit_spec(), R_load=-1.0)
+    for R_load in (-1.0, math.inf, math.nan):  # and a load that is not finite
+        with pytest.raises(DomainError, match="R_load"):
+            tg.LoadResistanceProblem(spec=unit_spec(), R_load=R_load)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,34 @@ def test_eval_reciprocal():
 
 def test_eval_below_domain_raises():
     m = tg.log_affine(c0=1.0, c1=1.0, T_ref=1.0)  # positive only above e^-1
-    with pytest.raises(DomainError):
+    with pytest.raises(NonPositiveValue):
         tg.eval_property(m, 0.2)
+
+
+_EVERY_FAMILY = (
+    tg.constant(1.0), tg.linear(a=1.0, b=1.0), tg.reciprocal(1.0),
+    tg.log_affine(1.0, 0.5, 0.8), tg.clamped_linear(M=1.0, T_pivot=2.0, v_pivot=1.0),
+    tg.table([(1.0, 1.0), (2.0, 2.0)]),
+    tg.MaterialPair(tg.wiedemann_franz(1.0), tg.constant(1.0), 1.0).kappa,  # bound
+)
+
+
+@pytest.mark.parametrize("model", _EVERY_FAMILY, ids=lambda m: m.family)
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_eval_needs_finite_positive_T(model, T):
+    with pytest.raises(DomainError):
+        tg.eval_property(model, T)
+    with pytest.raises(DomainError):
+        tg.eval_property(model, np.array([1.5, T]))
+
+
+@pytest.mark.parametrize("model,T", [
+    (tg.linear(a=1e300, b=1.0), 1e300),    # a * T overflows
+    (tg.reciprocal(1.0), 5e-324),          # 1 / subnormal overflows
+], ids=["linear_overflow", "reciprocal_overflow"])
+def test_eval_non_finite_value_raises(model, T):
+    with pytest.raises(NonPositiveValue):
+        tg.eval_property(model, T)
 
 
 def test_eval_nonpositive_value_raises():
@@ -79,11 +105,10 @@ def test_invalid_materials_rejected():
     lambda: tg.table([(1.0, 1.0), (2.0, math.nan)]),
     lambda: tg.linear(a=math.nan, b=1.0),
     lambda: tg.log_affine(c0=1.0, c1=0.5, T_ref=math.inf),
-    lambda: tg.reciprocal(1.0, domain_low=math.nan),
     lambda: tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.constant(1.0),
                             alpha0=math.nan),
 ], ids=["constant_nan", "constant_inf", "table_nan_value", "linear_nan",
-        "log_affine_inf_T_ref", "reciprocal_nan_domain_low", "alpha0_nan"])
+        "log_affine_inf_T_ref", "alpha0_nan"])
 def test_non_finite_material_parameters_rejected(build):
     with pytest.raises(InvalidMaterial):
         build()
@@ -294,6 +319,31 @@ def test_rk_integral_non_finite_bounds_raise(lo, hi):
         tg.rho_kappa_integral(pair, lo, hi)
 
 
+@pytest.mark.parametrize("lo,hi", [(math.nan, 2.0), (1.0, math.nan), (0.0, 2.0),
+                                   (2.0, 1.0), (1.0, math.inf)])
+def test_validate_range_rejects_bad_ranges(lo, hi):
+    pair = tg.MaterialPair(tg.constant(1.0), tg.constant(1.0), 1.0)
+    with pytest.raises(DomainError):
+        pair.validate_range(lo, hi)
+
+
+# kappa = 3 - T is positive on [1, 2] and changes sign at T = 3
+_SIGN_CHANGE = tg.MaterialPair(tg.linear(a=-1.0, b=3.0), tg.constant(1.0), 1.0)
+
+
+def test_rk_integral_over_a_sign_change_raises():
+    assert tg.rho_kappa_integral(_SIGN_CHANGE, 1.0, 2.0) == pytest.approx(1.5, rel=1e-14)
+    with pytest.raises(NonPositiveValue):
+        tg.rho_kappa_integral(_SIGN_CHANGE, 1.0, 5.0)
+
+
+def test_K_beyond_a_sign_change_raises():
+    spec = tg.GeneratorSpec(pair=_SIGN_CHANGE, T_h=2.0, T_c=1.0)
+    assert spec.K(2.0) == pytest.approx(2.5, rel=1e-14)
+    with pytest.raises(NonPositiveValue):
+        spec.K(5.0)
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
@@ -332,10 +382,8 @@ def test_family_names_are_the_classes():
     pair = tg.MaterialPair(kappa=tg.log_affine(1.0, 0.5, 0.8),
                            rho=tg.wiedemann_franz(0.7), alpha0=1.0)
     assert pair.to_json()["kappa"] == {"family": "log_affine", "c0": 1.0,
-                                       "c1": 0.5, "T_ref": 0.8,
-                                       "domain_low": 0.8 * math.exp(-2.0)}
-    assert pair.to_json()["rho"] == {"family": "wiedemann_franz", "Lo": 0.7,
-                                     "domain_low": 0.0}
+                                       "c1": 0.5, "T_ref": 0.8}
+    assert pair.to_json()["rho"] == {"family": "wiedemann_franz", "Lo": 0.7}
 
 
 def test_material_json_rejects_unknown_family():
