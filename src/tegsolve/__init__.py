@@ -55,10 +55,8 @@ from .analytic import (
 )
 from .ivp import (
     HittingTimeQuadrature,
-    ResidualReport,
     TemperatureSolution,
     solve_ratio_mode,
-    verify_solution,
 )
 from .loadmode import (
     LoadResistanceProblem,

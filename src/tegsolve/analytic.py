@@ -25,8 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateError, DomainError, ZeroSeebeck, ZeroVoltage
-from .materials import (MaterialPair, _ret, rho_kappa_integral, segment_integrals,
-                        segment_nodes)
+from .materials import MaterialPair, _ret, segment_integrals, segment_nodes
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,9 @@ class GeneratorSpec:
         """segment_nodes on [T_c, T_top], the extra temperatures merged in,
         and K on them: running sums of the segment integrals with
         each addition's rounding error added back (TwoSum), so every K is as
-        accurate as a pairwise sum.  The range must pass pair.validate_range."""
-        self.pair.validate_range(self.T_c, T_top)
+        accurate as a pairwise sum.  A T_top past [T_c, T_h] must pass validate_range."""
+        if not self.T_c <= T_top <= self.T_h:
+            self.pair.validate_range(self.T_h if T_top > self.T_h else self.T_c, T_top)
         grid = segment_nodes(self.pair, self.T_c, T_top, extra=extra)
         x = np.concatenate([[self.T_c], segment_integrals(self.pair.kappa.value, grid)])
         u = np.cumsum(x)
@@ -105,8 +105,9 @@ class GeneratorSpec:
 
     @cached_property
     def rk(self) -> float:
-        """Coupling integral r over [T_c, T_h]."""
-        return rho_kappa_integral(self.pair, self.T_c, self.T_h)
+        """Coupling integral r over [T_c, T_h], as rho_kappa_integral sums it."""
+        return float(np.sum(segment_integrals(
+            self.pair.rho_kappa, segment_nodes(self.pair, self.T_c, self.T_h))))
 
 
 def figure_of_merit(spec: GeneratorSpec) -> float:

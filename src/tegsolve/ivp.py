@@ -50,7 +50,8 @@ from .errors import (
     NonPositiveHotFlux,
     NumericalBlowup,
 )
-from .materials import _ret, gauss_legendre_on, segment_integrals, segment_nodes
+from .materials import (_ret, finite_positive, gauss_legendre_on, segment_integrals,
+                        segment_nodes)
 
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
@@ -183,39 +184,6 @@ def solve_ratio_mode(spec: GeneratorSpec, gamma: float, *,
         matched_initial_slope(spec, gamma), gamma=gamma, n_out=n_out)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Pointwise defect of a reconstructed profile against the local model."""
-
-    h: float
-    ode_residual: float          # max |d2K/dx2 + rho J^2| via second differences
-    boundary_error_hot: float    # |T(0) - T_h|
-    boundary_error_cold: float   # |T(L) - T_c|
-    nonlocal_residual: float     # |J - V/(R_total A_c)|
-
-
-def verify_solution(sol: TemperatureSolution, spec: GeneratorSpec) -> ResidualReport:
-    """Residual report for a solution: ODE defect in K-space on the uniform
-    grid, boundary mismatches, and the nonlocal current constraint."""
-    x, T = sol.x, sol.T
-    h = float(x[1] - x[0])
-    K = spec.K(T)
-    rho = np.asarray(spec.pair.rho.value(T), dtype=float)
-    second = (K[:-2] - 2.0 * K[1:-1] + K[2:]) / (h * h)
-    ode_residual = float(np.max(np.abs(second + rho[1:-1] * sol.J ** 2)))
-    if sol.R_total > 0:
-        nonlocal_residual = abs(sol.J - spec.V / (sol.R_total * spec.A_c))
-    else:
-        nonlocal_residual = abs(sol.J)
-    return ResidualReport(
-        h=h,
-        ode_residual=ode_residual,
-        boundary_error_hot=abs(float(T[0]) - spec.T_h),
-        boundary_error_cold=abs(float(T[-1]) - spec.T_c),
-        nonlocal_residual=nonlocal_residual,
-    )
-
-
 def _subdivide(ends: np.ndarray, share: np.ndarray):
     """The ends a, b of ceil(share[i]) equal sub-intervals of each panel
     [ends[i], ends[i + 1]] (none where share[i] is not positive), placed as
@@ -253,13 +221,6 @@ def _squared(theta):
     return theta * theta
 
 
-def _stall_error(T: float) -> NumericalBlowup:
-    return NumericalBlowup(
-        f"coupling integral stops growing at T={T:.6g}; "
-        "the divergence assumption on rho*kappa appears violated"
-    )
-
-
 class _WTable(NamedTuple):
     """Everything y_c reads of W^{-1}: published whole, never changed."""
 
@@ -267,7 +228,7 @@ class _WTable(NamedTuple):
     W: np.ndarray            # W(T) - W(T_h) on the nodes
     inv: CubicHermiteSpline  # T of W, constant above W[-1]
     kink_q: list             # W-images of the rho/kappa kinks inside
-    stall: float | None      # the T where W stops growing, if met
+    cut: str | None          # why the nodes end below top, if they do
     top: float               # top of the last block
     rest: np.ndarray | None  # the first block's nodes above T_h, not yet summed
 
@@ -312,8 +273,8 @@ class HittingTimeQuadrature:
     <= 0 reaches; theta > 0 appends the rest of the first _N_BASE-node block,
     then further blocks, so nodes never move; a block's W is the W at its
     lower end (W(T_h) = 0 for the first block's rest) plus the running sum of
-    its segment integrals.  Where W stops growing above T_h the grid ends,
-    and only a theta that needs W beyond that end raises NumericalBlowup.
+    its segment integrals.  The grid ends above T_h where W stops growing or
+    kappa or rho is invalid, and NumericalBlowup meets a theta beyond it.
     All of it is one _WTable, replaced whole by each extension.  materialize
     integrates a profile on the panels of _angle_panels and _descent_ends.
     """
@@ -331,28 +292,40 @@ class HittingTimeQuadrature:
         top = spec.T_h + max(2.0 * spec.delta_T, 1e-3 * spec.T_h)
         grid = segment_nodes(spec.pair, spec.T_c, top, _N_BASE, extra=(spec.T_h,))
         i_h = int(np.searchsorted(grid, spec.T_h))
-        T, W, stall = self._w_block(grid[:i_h + 1], 0.0)
-        return self._fit(T, W - W[-1], stall, top, grid[i_h:])
+        T, W, cut = self._w_block(grid[:i_h + 1], 0.0)
+        return self._fit(T, W - W[-1], cut, top, grid[i_h:])
 
     def _w_block(self, grid, W_0: float):
-        """The nodes of grid, W on them (W_0 plus the running sum of their
-        rho * kappa segment integrals) and the T where W stops growing, or None.
-        A stall ends the block at the last node where rho * kappa > 0 before
-        it; NumericalBlowup if that cuts off T_h."""
+        """The nodes of grid to the block's end, W on them (W_0 plus the running
+        sum of their rho * kappa segment integrals) and why it ends early, or
+        None.  It ends before the first node above T_h where kappa or rho is
+        not finite_positive (exact: the kinks are nodes, and every family is
+        monotone between them), else where W stops growing; NumericalBlowup
+        if that cuts off T_h, below which the spec's validate_range holds."""
         pair = self.spec.pair
         seg = segment_integrals(pair.rho_kappa, grid)
         W = W_0 + np.cumsum(np.concatenate([[0.0], seg]))
         stall = np.flatnonzero(~(np.diff(W) > 0))
-        if not stall.size:
+        i_h = int(np.searchsorted(grid, self.spec.T_h, "right"))
+        above = grid[i_h:stall[0] + 2 if stall.size else None]  # to the stall's end
+        with np.errstate(all="ignore"):
+            ok = [finite_positive(m.value(above)) for m in (pair.kappa, pair.rho)]
+        bad = np.flatnonzero(~(ok[0] & ok[1]))
+        if bad.size:
+            b = int(bad[0])
+            names = " and ".join(n for n, v in zip(("kappa", "rho"), ok) if not v[b])
+            end, cut = i_h + b, f"no valid {names} at T={above[b]:.6g} (finite, > 0)"
+        elif stall.size:
+            end, cut = int(stall[0]) + 1, (
+                f"coupling integral stops growing at T={grid[stall[0]]:.6g}; "
+                "rho*kappa appears integrable")
+        else:
             return grid, W, None
-        T_stall = float(grid[stall[0]])
-        bad = np.flatnonzero(~(pair.rho_kappa(grid[:stall[0] + 1]) > 0))
-        end = int(bad[0]) if bad.size else stall[0] + 1
         if end == 0 or grid[end - 1] < self.spec.T_h:
-            raise _stall_error(T_stall)
-        return grid[:end], W[:end], T_stall
+            raise NumericalBlowup(cut)
+        return grid[:end], W[:end], cut
 
-    def _fit(self, T, W, stall, top, rest) -> _WTable:
+    def _fit(self, T, W, cut, top, rest) -> _WTable:
         """The table on nodes T: a Hermite spline of W^{-1}, constant above the
         top node so T(W[-1]) is exact, and the W-images of the kinks."""
         pair = self.spec.pair
@@ -362,32 +335,31 @@ class HittingTimeQuadrature:
         kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
         kink_q = sorted({float(W[int(np.searchsorted(T, t))]) for t in kk
                          if T[0] < t < T[-1]})
-        return _WTable(T, W, inv, kink_q, stall, top, rest)
+        return _WTable(T, W, inv, kink_q, cut, top, rest)
 
     def _reach(self, q_max: float) -> _WTable:
         """The table, extended by the first block's rest, then blocks, until
         W reaches q_max, and published; on failure nothing changes.  A q_max
-        past a stall is a NumericalBlowup."""
+        past the grid's end, or beyond 120 doublings, is a NumericalBlowup."""
         t = self._table
         if not t.W[-1] < q_max:
             return t
-        T, W, stall, top, block = t.T, t.W, t.stall, t.top, t.rest
+        T, W, cut, top, block = t.T, t.W, t.cut, t.top, t.rest
         for _ in range(120):
-            if stall is not None:
-                raise _stall_error(stall)
+            if cut is not None:
+                raise NumericalBlowup(cut)
             if block is None:
                 lo, top = top, self.spec.T_h + 2.0 * (top - self.spec.T_h)
                 block = segment_nodes(self.spec.pair, lo, top, _N_BASE)
-            g, w, stall = self._w_block(block, float(W[-1]))
+            g, w, cut = self._w_block(block, float(W[-1]))
             block = None
             T, W = np.concatenate([T, g[1:]]), np.concatenate([W, w[1:]])
             if W[-1] >= q_max:
-                self._table = t = self._fit(T, W, stall, top, None)
+                self._table = t = self._fit(T, W, cut, top, None)
                 return t
-        raise NumericalBlowup(
-            "coupling integral does not cover the requested energy range; "
-            "the divergence assumption on rho*kappa appears violated"
-        )
+        raise NumericalBlowup(cut or (
+            f"120 block doublings reach W={W[-1]:.6g} at T={T[-1]:.6g}, "
+            f"short of the W={q_max:.6g} that theta needs"))
 
     def y_c(self, theta):
         """Hitting time where the trajectory reaches the cold-side value: a

@@ -311,17 +311,22 @@ def model_from_json(d: dict) -> PropertyModel:
         raise InvalidMaterial(f"bad parameters for family {fam!r}: {exc}") from exc
 
 
+def finite_positive(x) -> np.ndarray:
+    """Elementwise x > 0 and finite: the rule for temperatures and values."""
+    return (x > 0) & (x < math.inf)
+
+
 def eval_property(model: PropertyModel, T):
     """Checked property evaluation: DomainError unless every T is finite and
     > 0, NonPositiveValue unless every value is finite and > 0."""
     arr = np.asarray(T, dtype=float)
-    ok = (arr > 0) & (arr < math.inf)
+    ok = finite_positive(arr)
     if not ok.all():
         raise DomainError(f"family {model.family!r} needs finite T > 0, "
                           f"got T={arr[~ok].flat[0]}")
     with np.errstate(all="ignore"):  # an overflow or 0 / 0 is caught below
         v = np.asarray(model.value(arr), dtype=float)
-    ok = (v > 0) & (v < math.inf)
+    ok = finite_positive(v)
     if not ok.all():
         raise NonPositiveValue(f"family {model.family!r} needs a finite value > 0, "
                                f"got {v[~ok].flat[0]} at T={arr[~ok].flat[0]}")

@@ -263,6 +263,21 @@ def test_spec_validation():
 
 
 
+def test_spec_checks_its_range_once(monkeypatch):
+    # r and u_h lie on [T_c, T_h], which the spec checked when it was built
+    calls = []
+    check = tg.MaterialPair.validate_range
+    monkeypatch.setattr(tg.MaterialPair, "validate_range",
+                        lambda pair, lo, hi: calls.append((lo, hi)) or check(pair, lo, hi))
+    knots = [(1.0 + 0.25 * i, 1.0 + 0.1 * i * i) for i in range(9)]
+    pair = tg.MaterialPair(tg.table(knots), tg.wiedemann_franz(Lo=2.0), 1.0)
+    spec = tg.GeneratorSpec(pair=pair, T_h=2.5, T_c=1.5)
+    assert spec.rk > 0 and spec.u_h > spec.T_c
+    assert calls == [(1.5, 2.5)]
+    spec.K(3.0)  # beyond T_h: checked on [T_h, 3]
+    assert calls[1:] == [(2.5, 3.0)]
+
+
 @pytest.mark.parametrize("field,value", [
     ("T_h", math.nan), ("T_h", math.inf), ("T_c", math.nan), ("L", math.inf),
     ("A_c", math.nan),

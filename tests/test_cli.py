@@ -346,6 +346,28 @@ def test_report_where_kappa_turns_negative_above_T_h(tmp_path):
     assert rep["z"] == pytest.approx(0.2, rel=1e-14)
 
 
+@pytest.mark.parametrize("rho", [{"family": "wiedemann_franz", "Lo": 1.0},
+                                 {"family": "linear", "a": -1.0, "b": 3.0}],
+                         ids=["wiedemann_franz", "same_sign_change"])
+@pytest.mark.parametrize("alpha0", [6.0, 10.0])
+@pytest.mark.parametrize("command, mode", [
+    ("solve", {"type": "ratio", "gamma": 0.0}),
+    ("multiplicity", {"type": "multiplicity", "R_load": 1.0}),
+], ids=["solve", "multiplicity"])
+def test_trajectory_past_where_kappa_and_rho_turn_invalid_exit_code_and_record(
+        tmp_path, capsys, rho, alpha0, command, mode):
+    # kappa = 3 - T and rho change sign together at 3 K, above T_h = 2, and
+    # these theta need W beyond it: a solver error, not a scan through 3 K
+    material = tmp_path / "mat.json"
+    material.write_text(json.dumps({"kappa": {"family": "linear", "a": -1.0, "b": 3.0},
+                                    "rho": rho, "alpha0": alpha0}))
+    cfg = _write_config(tmp_path, material_file=str(material), mode=mode)
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_SOLVER
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "NumericalBlowup"
+    assert record["message"].startswith("no valid kappa and rho at T=3.000")
+
+
 @pytest.mark.parametrize("tolerances", [
     {"n_out": 0}, {"n_out": -4}, {"scan_samples": 1},
 ], ids=["n_out_zero", "n_out_negative", "scan_samples_one"])

@@ -335,7 +335,8 @@ def test_converging_coupling_integral_raises_numerical_blowup():
     q = tg.HittingTimeQuadrature(spec)
     q._reach(TINY)
     grid = q._table.T
-    with pytest.raises(tg.NumericalBlowup):
+    with pytest.raises(tg.NumericalBlowup,
+                       match=r"stops growing at T=.*; rho\*kappa appears integrable"):
         q.y_c(4.0 * math.sqrt(2.0 * spec.rk))
     assert q._table.T is grid  # the failed extension appended nothing
 
@@ -562,6 +563,34 @@ def test_failed_extension_leaves_the_quadrature_unchanged(case):
     # the first block's rest is still there for a theta it can serve
     assert q.y_c(reachable) > 0
     assert q._table.T[-1] > spec.T_h
+
+
+def _sign_change_leg(rho):
+    # kappa = 3 - T turns negative at 3 K, above T_h = 2
+    pair = tg.MaterialPair(kappa=tg.linear(a=-1.0, b=3.0), rho=rho, alpha0=1.0)
+    return tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0)
+
+
+@pytest.mark.parametrize("rho, theta", [
+    (tg.wiedemann_franz(Lo=1.0), 5.0),  # rho kappa = T stays positive
+    (tg.linear(a=-1.0, b=3.0), 2.0),     # rho kappa = (3 - T)^2 stays positive
+], ids=["wiedemann_franz", "same_sign_change"])
+def test_table_ends_where_kappa_and_rho_turn_invalid_above_T_h(rho, theta):
+    # both change sign at 3 K, so rho kappa > 0 past it: the table used to run
+    # on and gave a negative hitting time
+    q = tg.HittingTimeQuadrature(_sign_change_leg(rho))
+    with pytest.raises(tg.NumericalBlowup, match=r"no valid kappa and rho at T=3\.000"):
+        q.y_c(theta)
+    assert q._table.T[-1] < 3.0 < q._table.top
+
+
+def test_doubling_cap_names_the_W_it_reached():
+    # W = T - T_h diverges on the unit leg, but 120 doublings of the block
+    # top reach only W ~ 1.3e36, short of theta^2 / 2 = 5e199
+    with pytest.raises(tg.NumericalBlowup,
+                       match=r"120 block doublings reach W=1\.3\d*e\+36 at T=1\.3\d*e\+36, "
+                             r"short of the W=5e\+199 that theta needs"):
+        tg.HittingTimeQuadrature(unit_spec()).y_c(1e100)
 
 
 @pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-160, 1e-8])
