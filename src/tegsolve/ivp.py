@@ -41,7 +41,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .analytic import GeneratorSpec, matched_initial_slope, shooting_function
 from .errors import (
@@ -102,6 +101,44 @@ _MIDDLE = _two_sided(_KINK_LEVELS, _KINK_LEVELS)
 _LAST = _two_sided(_KINK_LEVELS, 0)
 
 
+class _Hermite:
+    """The cubic Hermite spline through (x, y) with slopes d, x strictly
+    increasing, built and evaluated as scipy's CubicHermiteSpline does, bit
+    for bit.  The end cubics continue past the ends or, with flat_above, a
+    constant y[-1] piece starts at x[-1], so the spline there is y[-1]."""
+
+    def __init__(self, x, y, d, *, flat_above: bool = False):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        c = [t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]]
+        if flat_above:
+            x = np.append(x, np.nextafter(x[-1], np.inf))
+            c = [np.append(ck, top) for ck, top in zip(c, (0.0, 0.0, 0.0, y[-1]))]
+        self.x, self._c = x, c
+        self._index = np.arange(x.size - 1, dtype=float)
+
+    def __call__(self, v):
+        """The spline at v, an array of v's shape, summed in scipy's order."""
+        x, (c0, c1, c2, c3) = self.x, self._c
+        # np.interp starts from the last interval found, as scipy's search does;
+        # it rounds up onto a node at worst and reads 1 below x[0]: both fixed here
+        i = np.interp(v, x[:-1], self._index, left=1.0).astype(np.intp)
+        i -= v < x[i]
+        s = v - x[i]
+        ss = s * s
+        # in place, so that few large temporaries are live at once
+        out = c2[i]
+        out *= s
+        out += c3[i]
+        s *= ss
+        ss *= c1[i]
+        out += ss
+        s *= c0[i]
+        out += s
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class TemperatureSolution:
     """Reconstructed physical profile with its electrical state.
@@ -157,7 +194,7 @@ def _k_linear_solution(spec: GeneratorSpec, gamma: float,
         R_int = spec.pair.rho.value(spec.T_c) * spec.L / spec.A_c
     else:
         grid, K = spec.K_table(spec.T_h)
-        K_inv = CubicHermiteSpline(K, grid, 1.0 / spec.pair.kappa.value(grid))
+        K_inv = _Hermite(K, grid, 1.0 / spec.pair.kappa.value(grid))
         T = K_inv(np.linspace(spec.u_h, spec.u_c, n_out + 1))
         R_int = spec.L * spec.rk / ((spec.u_h - spec.u_c) * spec.A_c)
     q = np.full_like(x, (spec.u_h - spec.u_c) / spec.L)
@@ -226,7 +263,7 @@ class _WTable(NamedTuple):
 
     T: np.ndarray            # nodes, kinks among them
     W: np.ndarray            # W(T) - W(T_h) on the nodes
-    inv: CubicHermiteSpline  # T of W, constant above W[-1]
+    inv: _Hermite            # T of W, constant above W[-1]
     kink_q: list             # W-images of the rho/kappa kinks inside
     cut: str | None          # why the nodes end below top, if they do
     top: float               # top of the last block
@@ -329,9 +366,7 @@ class HittingTimeQuadrature:
         """The table on nodes T: a Hermite spline of W^{-1}, constant above the
         top node so T(W[-1]) is exact, and the W-images of the kinks."""
         pair = self.spec.pair
-        inv = CubicHermiteSpline(W, T, 1.0 / pair.rho_kappa(T), extrapolate=False)
-        inv.extend(np.array([[0.0], [0.0], [0.0], [T[-1]]]),
-                   [np.nextafter(W[-1], np.inf)])
+        inv = _Hermite(W, T, 1.0 / pair.rho_kappa(T), flat_above=True)
         kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
         kink_q = sorted({float(W[int(np.searchsorted(T, t))]) for t in kk
                          if T[0] < t < T[-1]})
@@ -482,7 +517,7 @@ class HittingTimeQuadrature:
         # adds divided differences that overflow: such a knot is dropped
         y_c = float(y[-1])
         keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y_c])
-        s_out = CubicHermiteSpline(y[keep], s[keep], slope[keep])(
+        s_out = _Hermite(y[keep], s[keep], slope[keep])(
             np.linspace(0.0, y_c, n_out + 1))
         T = t.T_of(0.5 * s_out * (2.0 * theta - s_out))
 

@@ -28,16 +28,105 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .analytic import GeneratorSpec, matched_initial_slope, shooting_function
-from .errors import DegenerateError, DomainError, InvalidMaterial, ZeroVoltage
+from .errors import (DegenerateError, DomainError, InvalidMaterial, NumericalBlowup,
+                     ZeroVoltage)
 from .ivp import N_OUT, HittingTimeQuadrature, TemperatureSolution
 from .materials import ClampedLinear, Constant, MaterialPair, segment_nodes
 
 TOL_ROOT = 1e-9        # |H(theta) - |V|| at accepted simple roots
 TOL_TANGENCY = 1e-6    # |H - |V|| below which a stationary point is a root
 SCAN_SAMPLES = 2048    # default theta-scan resolution
+
+
+def brentq(f, a: float, b: float, *, xtol: float, rtol: float,
+           maxiter: int) -> float:
+    """A root of f between a and b by Brent's method, step for step the loop
+    of scipy.optimize.brentq, so the same x comes out.  NumericalBlowup for a
+    NaN f, f(a) and f(b) of one sign, or no convergence in maxiter steps."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NumericalBlowup(f"brentq: f is NaN at {a:.17g} or {b:.17g}")
+    if fpre == 0 or fcur == 0:
+        return float(xpre if fpre == 0 else xcur)
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericalBlowup(f"brentq: f has one sign at {a:.17g} and {b:.17g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):  # f = 0 returns below
+            xblk, fblk, spre = xpre, fpre, xcur - xpre
+            scur = spre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        stry = math.inf  # bisect unless interpolation gives a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NumericalBlowup(f"brentq: f is NaN at x={xcur:.17g}")
+    raise NumericalBlowup(f"brentq: no convergence in {maxiter} steps, "
+                          f"last x={xcur:.17g}")
+
+
+def minimize_bounded(f, a: float, b: float, xatol: float) -> float:
+    """The x in [a, b] where f is least, by Brent's golden-section search with
+    parabolic steps: step for step the loop of scipy's minimize_scalar with
+    method="bounded" and at most 500 evaluations, so the same x comes out."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    rat = e = 0.0
+    ffulc = fnfc = fx = f(xf)
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = abs(e) <= tol1
+        if not golden:  # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
+            golden = not (abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
+            if not golden:
+                rat = (p + 0.0) / q
+                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                    rat = tol1 * (1.0 if xm >= xf else -1.0)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return float(xf)
 
 
 @dataclass(frozen=True)
@@ -174,10 +263,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     tol_tangency, tol_root = TOL_TANGENCY * scale, TOL_ROOT * scale
 
     def refine(lo, hi):
-        # prob goes in args: brentq's wrapper is a reference cycle, and a
-        # closure over prob would keep its quadrature until a gc pass
-        th = brentq(lambda t, p: H_of_theta(p, t) - target, lo, hi, args=(prob,),
-                    xtol=1e-13 * max(scale, abs(lo) + abs(hi)),
+        th = brentq(g, lo, hi, xtol=1e-13 * max(scale, abs(lo) + abs(hi)),
                     rtol=4 * np.finfo(float).eps, maxiter=200)
         res = g(th)
         if abs(res) > tol_root:
@@ -194,9 +280,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     for i in candidates:
         side = -1.0 if negative[i - 1] else 1.0
         lo, hi = float(grid[i - 1]), float(grid[i + 1])
-        th = float(minimize_scalar(lambda t: side * g(t), bounds=(lo, hi),
-                                   method="bounded",
-                                   options={"xatol": 1e-12 * scale}).x)
+        th = minimize_bounded(lambda t: side * g(t), lo, hi, 1e-12 * scale)
         val = side * g(th)
         if abs(val) <= tol_tangency:
             found.append((th, True, abs(val)))

@@ -324,8 +324,8 @@ def test_construct_nonunique_example_validation():
 
 
 def test_enumeration_leaves_no_reference_cycle_to_the_problem():
-    # brentq's wrapper is a reference cycle; a closure over the problem in it
-    # kept the problem and its W^-1 grid alive until a gc pass
+    # a reference cycle through the root finders' closures over the problem
+    # would keep the problem and its W^-1 grid alive until a gc pass
     prob = three_solution_problem()
     alive = weakref.ref(prob._quadrature)
     gc.disable()
