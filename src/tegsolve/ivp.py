@@ -282,7 +282,7 @@ def _angle_panels(t: _WTable, theta: np.ndarray):
     q_k = np.array(t.kink_q[bisect_right(t.kink_q, 0.0):])
     ratio = np.sqrt(2.0 * q_k) / theta[:, None]  # < 1 where a row reaches q_k
     reached = np.count_nonzero(ratio < 1.0, axis=1)
-    for k in np.unique(reached):
+    for k in np.flatnonzero(np.bincount(reached)):  # np.unique, without numpy.ma
         rows = np.flatnonzero(reached == k)
         if k == 0:  # one row of ends serves them all
             yield rows, np.array([[0.0, 0.5 * np.pi]]), [_GRADED]

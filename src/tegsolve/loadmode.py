@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -83,50 +83,6 @@ def brentq(f, a: float, b: float, *, xtol: float, rtol: float,
             raise NumericalBlowup(f"brentq: f is NaN at x={xcur:.17g}")
     raise NumericalBlowup(f"brentq: no convergence in {maxiter} steps, "
                           f"last x={xcur:.17g}")
-
-
-def minimize_bounded(f, a: float, b: float, xatol: float) -> float:
-    """The x in [a, b] where f is least, by Brent's golden-section search with
-    parabolic steps: step for step the loop of scipy's minimize_scalar with
-    method="bounded" and at most 500 evaluations, so the same x comes out."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    nfc = xf = fulc = a + golden_mean * (b - a)
-    rat = e = 0.0
-    ffulc = fnfc = fx = f(xf)
-    for _ in range(499):
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
-            break
-        golden = abs(e) <= tol1
-        if not golden:  # try a parabola through the last three points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
-            golden = not (abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
-            if not golden:
-                rat = (p + 0.0) / q
-                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
-                    rat = tol1 * (1.0 if xm >= xf else -1.0)
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return float(xf)
 
 
 @dataclass(frozen=True)
@@ -225,15 +181,17 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     A grid extremum whose neighbours lie on one side of the level (else it
     sits beside a lone crossing), within one cell's rise of the level (within
     the tangency tolerance if it lies across, else its crossing pair is two
-    roots), is refined by minimising side * g between the neighbours (side =
-    +1 if they lie above the level, else -1).  Within the tangency tolerance
-    there, it is a flagged root that owns its run of grid points that close to
-    the level plus one on each side; further across while the grid extremum
-    is not, it splits two simple roots the grid misses.  Those and each sign
-    change no tangency owns are refined by Brent's method to the root
-    tolerance (a note records one that stays above).  TOL_TANGENCY, TOL_ROOT
-    and the theta tolerances are scaled by min(1, |V|).  Raises DomainError
-    for scan_samples < 2.
+    roots), is refined to where side * (g(t + h) - g(t - h)) turns from - to
+    + (side = +1 if the neighbours lie above the level, else -1; h = cbrt(eps)
+    times the theta scale), bracketed by the neighbours or else, up to four
+    times, by the cells beside the least of 17 samples between them.  Within
+    the tangency tolerance there, it is a flagged root that owns its run of
+    grid points that close to the level plus one on each side; further across
+    while the grid extremum is not, it splits two simple roots the grid
+    misses.  Brent's method finds the turn, and it refines those roots and
+    each sign change no tangency owns to the root tolerance (a note records
+    one that stays above).  TOL_TANGENCY, TOL_ROOT and the theta tolerances
+    are scaled by min(1, |V|).  Raises DomainError for scan_samples < 2.
     """
     spec = prob.spec
     if spec.V == 0:
@@ -262,13 +220,30 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     scale = min(1.0, target)
     tol_tangency, tol_root = TOL_TANGENCY * scale, TOL_ROOT * scale
 
+    def root(f, lo, hi):
+        return brentq(f, lo, hi, xtol=1e-13 * max(scale, abs(lo) + abs(hi)),
+                      rtol=4 * np.finfo(float).eps, maxiter=200)
+
     def refine(lo, hi):
-        th = brentq(g, lo, hi, xtol=1e-13 * max(scale, abs(lo) + abs(hi)),
-                    rtol=4 * np.finfo(float).eps, maxiter=200)
+        th = root(g, lo, hi)
         res = g(th)
         if abs(res) > tol_root:
             notes.append(f"root at theta={th:.6g} stuck at residual {res:.3e}")
         found.append((th, False, abs(res)))
+
+    def stationary(side, lo, hi):
+        h = np.cbrt(np.finfo(float).eps) * max(scale, abs(lo) + abs(hi))
+        @cache
+        def slope(t):  # one 2-point call of g
+            return float(side * np.diff(g(np.array([t - h, t + h])))[0])
+
+        for _ in range(4):
+            if slope(lo) < 0.0 < slope(hi):
+                return root(slope, lo, hi)
+            t = np.linspace(lo, hi, 17)
+            k = int(np.argmin(side * g(t)))
+            lo, hi = float(t[max(k - 1, 0)]), float(t[min(k + 1, 16)])
+        return float(t[k])
 
     ext = np.flatnonzero(dg[:-1] * dg[1:] < 0.0) + 1
     rise = np.where(negative[ext] == negative[ext - 1],
@@ -280,7 +255,7 @@ def enumerate_solutions(prob: LoadResistanceProblem, *,
     for i in candidates:
         side = -1.0 if negative[i - 1] else 1.0
         lo, hi = float(grid[i - 1]), float(grid[i + 1])
-        th = minimize_bounded(lambda t: side * g(t), lo, hi, 1e-12 * scale)
+        th = stationary(side, lo, hi)
         val = side * g(th)
         if abs(val) <= tol_tangency:
             found.append((th, True, abs(val)))

@@ -409,8 +409,8 @@ def segment_nodes(pair: MaterialPair, lo: float, hi: float, n: int = N_NODES,
     every extra temperature strictly inside, sorted."""
     pts = np.array([*pair.kappa.kinks(), *pair.rho.kinks(), *np.ravel(extra)],
                    dtype=float)
-    return np.unique(np.concatenate([np.linspace(lo, hi, n),
-                                     pts[(lo < pts) & (pts < hi)]]))
+    x = np.sort(np.concatenate([np.linspace(lo, hi, n), pts[(lo < pts) & (pts < hi)]]))
+    return x[np.r_[True, x[1:] != x[:-1]]]  # np.unique, without its numpy.ma import
 
 
 def segment_integrals(f, grid: np.ndarray) -> np.ndarray:

@@ -1,23 +1,22 @@
-"""The package's cubic Hermite spline and Brent ports against scipy, bit for
-bit, and a cold CLI import that loads no scipy module."""
+"""The package's cubic Hermite spline and Brent root finder against scipy,
+bit for bit, a cold CLI import that loads no scipy module, and solves that
+load no numpy.ma."""
 
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq as scipy_brentq
-from scipy.optimize import minimize_scalar
 
 import tegsolve as tg
 from tegsolve import loadmode
 from tegsolve.errors import NumericalBlowup
 from tegsolve.ivp import _Hermite
-
-from helpers import two_solution_problem
 
 EPS = np.finfo(float).eps
 
@@ -106,39 +105,6 @@ def test_brentq_failures_are_typed():
                         maxiter=100)
 
 
-MINIMA = [
-    (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
-    (lambda x: (x - 0.3) ** 4, -1.0, 2.0),          # flat minimum
-    (lambda x: 1.0 + 1e-14 * (x - 0.5) ** 2, 0.0, 1.0),  # flat to rounding
-    (lambda x: -math.sin(x), 0.0, 3.0),
-    (lambda x: abs(x - 0.1), -2.0, 1.0),
-    (lambda x: x, 0.0, 1.0),                        # minimum on an end
-    (lambda x: 1.0, -1.0, 1.0),                     # constant
-]
-
-
-@pytest.mark.parametrize("f, a, b", MINIMA)
-@pytest.mark.parametrize("xatol", [1e-5, 1e-12, 1e-15])
-def test_minimize_bounded_returns_scipys_x(f, a, b, xatol):
-    want = float(minimize_scalar(f, bounds=(a, b), method="bounded",
-                                 options={"xatol": xatol}).x)
-    assert loadmode.minimize_bounded(f, a, b, xatol) == want
-
-
-def test_minimize_bounded_at_a_tangency_of_H():
-    # the two_solutions tangency: H - |V| touches zero from one side
-    prob, th1 = two_solution_problem()
-    target = abs(prob.spec.V)
-    g = lambda t: tg.H_of_theta(prob, t) - target  # noqa: E731
-    lo, hi = th1 - 1e-3, th1 + 2e-3
-    side = -1.0 if g(lo) < 0 else 1.0
-    f = lambda t: side * g(t)  # noqa: E731
-    want = float(minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                 options={"xatol": 1e-12}).x)
-    assert loadmode.minimize_bounded(f, lo, hi, 1e-12) == want
-    assert abs(want - th1) < 1e-6
-
-
 def test_cold_cli_import_loads_no_scipy():
     src = str(Path(tg.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import tegsolve.cli; "
@@ -146,3 +112,25 @@ def test_cold_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_solves_load_no_numpy_ma():
+    # np.unique imports numpy.ma on numpy 2.4; a ratio solve and a fixed-load
+    # enumeration call it nowhere
+    src = str(Path(tg.__file__).resolve().parents[1])
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    code = textwrap.dedent(f"""
+        import sys, tempfile
+        sys.path.insert(0, {src!r})
+        from tegsolve import cli
+        loaded = []
+        for cmd, config in (("solve", {str(configs / "baseline_ratio.json")!r}),
+                            ("multiplicity", {str(configs / "three_solutions.json")!r})):
+            with tempfile.TemporaryDirectory() as out:
+                assert cli.main([cmd, "--config", config, "--out", out]) == 0
+            loaded.append("numpy.ma" in sys.modules)
+        print(loaded)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[False, False]"
