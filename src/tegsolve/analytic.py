@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, ZeroSeebeck, ZeroVoltage
+from .errors import DegenerateError, DomainError, NumericalBlowup, ZeroSeebeck, ZeroVoltage
 from .materials import MaterialPair, _ret, segment_integrals, segment_nodes
 
 
@@ -111,13 +111,16 @@ class GeneratorSpec:
 
 
 def figure_of_merit(spec: GeneratorSpec) -> float:
-    """z = alpha0^2 / ((1/dT) * r); reduces to alpha0^2/(rho0 kappa0) for
-    constant properties."""
+    """z = alpha0^2 / ((1/dT) * r), alpha0^2/(rho0 kappa0) for constant
+    properties; NumericalBlowup where z T_h overflows, 0 where alpha0^2 underflows."""
     if spec.alpha0 == 0:
         raise ZeroSeebeck("figure of merit undefined for alpha0 = 0")
     if spec.delta_T == 0:
         raise DegenerateError("figure of merit undefined for T_h = T_c")
-    return spec.alpha0 ** 2 * spec.delta_T / spec.rk
+    z = spec.alpha0 * spec.alpha0 * spec.delta_T / spec.rk
+    if not z * spec.T_h < math.inf:
+        raise NumericalBlowup(f"z T_h = {z * spec.T_h} is not a finite float")
+    return z
 
 
 def efficiency(spec: GeneratorSpec, gamma: float) -> float:
@@ -125,8 +128,9 @@ def efficiency(spec: GeneratorSpec, gamma: float) -> float:
     if not 0 <= gamma < math.inf:
         raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
     z = figure_of_merit(spec)
-    dT, T_h = spec.delta_T, spec.T_h
-    denom = gamma + 1.0 + (gamma + 1.0) ** 2 / (z * T_h) - 0.5 * dT / T_h
+    dT, T_h, g1 = spec.delta_T, spec.T_h, float(gamma) + 1.0
+    # eta's limit 0 where z T_h underflows to 0 or (gamma + 1)^2 overflows
+    denom = g1 + g1 * g1 / (z * T_h) - 0.5 * dT / T_h if z * T_h else math.inf
     return (dT / T_h) * gamma / denom
 
 
@@ -162,6 +166,8 @@ def matched_initial_slope(spec: GeneratorSpec, gamma: float) -> float:
     if not 0 <= gamma < math.inf:
         raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
     c = abs(spec.V) / (1.0 + gamma)
+    if not c > spec.rk / np.finfo(float).max:
+        raise NumericalBlowup(f"r / c overflows at c = |V| / (1 + gamma) = {c}")
     return 0.5 * c - spec.rk / c
 
 
@@ -180,7 +186,7 @@ def is_strictly_decreasing(spec: GeneratorSpec, gamma: float) -> bool:
         raise ZeroVoltage("decreasing-profile criterion needs V != 0")
     if not 0 <= gamma < math.inf:
         raise DomainError(f"load ratio must be finite and >= 0, got {gamma}")
-    return figure_of_merit(spec) * spec.delta_T <= 2.0 * (1.0 + gamma) ** 2
+    return figure_of_merit(spec) * spec.delta_T <= 2.0 * (g1 := float(gamma) + 1.0) * g1
 
 
 def sherman_relation(spec: GeneratorSpec) -> tuple[float, float]:

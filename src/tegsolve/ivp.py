@@ -28,8 +28,8 @@ p = sqrt(-2 W(T)) runs from 0 to sqrt(2r) and ds = p dp / sqrt(theta^2 + p^2):
     C(tau) = \\int_0^{sqrt(2r)} p dp / (rho(T(p)) sqrt(tau^2 + p^2)).
 
 The excursion above T_h is smooth in the turning-point angle phi, where
-sqrt(2 q) = theta sin(phi) and s = theta (1 - cos(phi)).  A profile runs over
-the same panels: phi from 0 to pi, then p from 0 to sqrt(2r).
+sqrt(2 q) = theta sin(phi) and s = theta (1 - cos(phi)).  A profile solves
+y(s) = y_j in s on the s-images of the sub-intervals of y_c.
 """
 
 from __future__ import annotations
@@ -43,19 +43,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import GeneratorSpec, matched_initial_slope, shooting_function
-from .errors import (
-    DegenerateError,
-    DomainError,
-    NonPositiveHotFlux,
-    NumericalBlowup,
-)
+from .errors import DegenerateError, DomainError, NonPositiveHotFlux, NumericalBlowup
 from .materials import (_ret, finite_positive, gauss_legendre_on, segment_integrals,
                         segment_nodes)
 
 N_OUT = 256         # output grid intervals for reconstructed profiles
 _Y_C_CHUNK = 64     # theta per y_c array pass: bounds memory for any scan length
-_PROFILE_INTERVALS = 1024  # sub-intervals behind one profile, shared out by width in s
-_PROFILE_GL_ORDER = 16     # Gauss-Legendre nodes per sub-interval of a profile
 _N_BASE = 8193     # uniform nodes per W^-1 grid block
 _DESCENT_GL_ORDER = 24  # Gauss-Legendre nodes per sub-interval of the descent in p
 _DESCENT_LEVELS = 16    # panels [P 4^-k-1, P 4^-k] graded toward p = 0
@@ -234,20 +227,6 @@ def _subdivide(ends: np.ndarray, share: np.ndarray):
     return j * step + a0, b
 
 
-def _angle_leg(theta: float, phi: np.ndarray, n: int):
-    """W and ds/dphi on the excursion at the angles phi in [0, pi], where
-    sqrt(2 W) = theta sin(phi), and s = 2 theta sin^2(phi / 2) at phi[n:]."""
-    m = theta * np.sin(phi)
-    return 0.5 * m * m, m, 2.0 * theta * np.sin(0.5 * phi[n:]) ** 2
-
-
-def _descent_leg(theta: float, p: np.ndarray, n: int):
-    """W and ds/dp on the descent at p = sqrt(-2 W) > 0, and at p[n:] s - s(0)
-    = p^2 / (hypot(theta, p) + |theta|), which does not cancel (0 / 0 at p = 0)."""
-    h = np.hypot(theta, p)
-    return -0.5 * p * p, p / h, p[n:] * (p[n:] / (h[n:] + abs(theta)))
-
-
 def _squared(theta):
     """theta^2; DomainError for NaN, NumericalBlowup where it would overflow."""
     a = np.abs(theta)
@@ -297,23 +276,22 @@ class HittingTimeQuadrature:
     identity of the module docstring.
 
     y_c(theta) = C(|theta|) + [theta > 0] 2 \\int_0^theta ds / rho(T(s)).  The
-    integrand of the descent C, in p, does not depend on theta: its nodes
-    and values are built once (_descent), and a theta costs one kernel
-    product.  The excursion above T_h is integrated in the turning-point
-    angle phi, on fixed nodes graded toward phi = 0 and, where the row
-    reaches kinks above T_h, on panels cut at them and graded toward them
-    (_excursion).  The inverse
-    of W is cached as a Hermite spline on a kink-aware grid with node values
-    from 8-point Gauss-Legendre per segment and exact node derivatives
+    integrand of the descent C, in p, does not depend on theta: its nodes and
+    values are built once (_descent), and a theta costs one kernel product.
+    The excursion above T_h is integrated in the turning-point angle phi, on
+    fixed nodes graded toward phi = 0 and, where the row reaches kinks above
+    T_h, on panels cut at them and graded toward them (_excursion).  The
+    inverse of W is cached as a Hermite spline on a kink-aware grid with node
+    values from 8-point Gauss-Legendre per segment and exact node derivatives
     dT/dW = 1/(rho kappa); kinks sit on nodes, so every segment is smooth and
-    every spline interval O(h^4).  The grid is built to T_h, as far as theta
-    <= 0 reaches; theta > 0 appends the rest of the first _N_BASE-node block,
-    then further blocks, so nodes never move; a block's W is the W at its
-    lower end (W(T_h) = 0 for the first block's rest) plus the running sum of
-    its segment integrals.  The grid ends above T_h where W stops growing or
-    kappa or rho is invalid, and NumericalBlowup meets a theta beyond it.
-    All of it is one _WTable, replaced whole by each extension.  materialize
-    integrates a profile on the panels of _angle_panels and _descent_ends.
+    every spline interval O(h^4).  The grid is built to T_h, as far as
+    theta <= 0 reaches; theta > 0 appends the rest of the first _N_BASE-node
+    block, then further blocks, so nodes never move; a block's W is the W at
+    its lower end (W(T_h) = 0 for the first block's rest) plus the running
+    sum of its segment integrals.  The grid ends above T_h where W stops
+    growing or kappa or rho is invalid, and NumericalBlowup meets a theta
+    beyond it.  All of it is one _WTable, replaced whole by each extension.
+    materialize solves y(s) = y_j on the same sub-intervals, mapped to s.
     """
 
     def __init__(self, spec: GeneratorSpec):
@@ -407,28 +385,29 @@ class HittingTimeQuadrature:
             out[i:i + _Y_C_CHUNK] = self._y_c_chunk(t, flat[i:i + _Y_C_CHUNK])
         return _ret(out.reshape(theta.shape))
 
-    def _descent_ends(self, t: _WTable) -> np.ndarray:
-        """The descent's panel ends in p, sorted: P 4^-k, k <= _DESCENT_LEVELS,
-        P = sqrt(2r), and the kinks' sqrt(-2 q_k); [0, h0] is a closed form."""
+    def _descent_cuts(self, t: _WTable):
+        """The ends a, b of the descent's sub-intervals in p: the panels between
+        P 4^-k, k <= _DESCENT_LEVELS, P = sqrt(2r), and the kinks' sqrt(-2 q_k),
+        each cut into ceil(4 width / (P - h0)); [0, h0] is a closed form."""
         P = math.sqrt(2.0 * self.spec.rk)
         h0 = P * 0.25 ** _DESCENT_LEVELS
-        return np.sort([P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)] + [
+        ends = np.sort([P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)] + [
             p_k for q_k in t.kink_q
             if q_k < 0 and h0 < (p_k := math.sqrt(-2.0 * q_k)) < P])
+        return _subdivide(ends, 4 * np.diff(ends) / (P - h0))
 
     @cached_property
     def _descent(self):
         """Nodes p of C on [h0, P], p^2, the GL weights times f(p) = 1 /
-        rho(W^{-1}(-p^2 / 2)), h0 and f(0), on _descent_ends cut into
-        ceil(4 width / (P - h0)) sub-intervals per panel.  Built on first use
-        from the table up to T_h, which no extension moves."""
+        rho(W^{-1}(-p^2 / 2)), h0 and f(0), on the sub-intervals of
+        _descent_cuts.  Built on first use from the table up to T_h, which no
+        extension moves."""
         t, rho = self._table, self.spec.pair.rho.value
-        ends = self._descent_ends(t)
-        a, b = _subdivide(ends, 4 * np.diff(ends) / (ends[-1] - ends[0]))
+        a, b = self._descent_cuts(t)
         x, half, w = gauss_legendre_on(a, b, _DESCENT_GL_ORDER)
         p = x.ravel()
         f = 1.0 / rho(t.T_of(-0.5 * p * p))
-        return p, p * p, np.outer(half, w).ravel() * f, ends[0], 1.0 / rho(self.spec.T_h)
+        return p, p * p, np.outer(half, w).ravel() * f, a[0], 1.0 / rho(self.spec.T_h)
 
     def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """C(|theta|) as one kernel product on the nodes of _descent, with
@@ -474,11 +453,13 @@ class HittingTimeQuadrature:
 
         Exactly one of gamma and R_load, finite and >= 0: R_total is
         (1 + gamma) R_int in ratio mode, else R_int + R_load, with
-        R_int = L I(theta) / (y_c A_c).  The panels of y_c (for theta > 0
-        _angle_panels mirrored onto [0, pi], then _descent_ends) are cut into
-        ~_PROFILE_INTERVALS sub-intervals shared out by width in s; their
-        cumulative integrals of ds / rho are y at the knots of a Hermite
-        spline s(y) with slope rho, and T = W^{-1}(s (2 theta - s) / 2).
+        R_int = L I(theta) / (y_c A_c), y_c = y_c(theta).  y(s) =
+        \\int_0^s ds / rho(W^{-1}(s (2 theta - s) / 2)) is summed by 24-point
+        Gauss-Legendre on the s-images of y_c's sub-intervals (for theta > 0
+        the excursion's, mirrored about theta, then the descent's).  Each y_j
+        = j y_c / n_out starts from the cubic Hermite s(y) on its sub-interval
+        and takes Newton steps s -= rho (y(s) - y_j) on it, y(s) by 16-point GL
+        from the start, until one moves s by <= 4 eps (I + |theta|), 16 at most.
         """
         spec, rho = self.spec, self.spec.pair.rho.value
         _check_n_out(n_out)
@@ -486,46 +467,57 @@ class HittingTimeQuadrature:
                 R_load if gamma is None else gamma) < math.inf:
             raise DomainError("materialize needs exactly one of gamma and R_load, "
                               f"finite and >= 0, got gamma={gamma}, R_load={R_load}")
-        q_top = 0.5 * _squared(theta)  # the checks of y_c on theta
-        t = self._reach(q_top if theta > 0 else 0.0)
-        I = shooting_function(spec, theta)
-        legs = [(_descent_leg, self._descent_ends(t), max(2.0 * theta, 0.0))]
+        y_c = self.y_c(theta)  # which checks theta and reaches the table it needs
+        t, I = self._table, shooting_function(spec, theta)
+
+        def y_on(a, b, order):  # \int_a^b ds / rho by order-point GL, and rho at b
+            x, half, w = gauss_legendre_on(a, b, order)
+            v = np.concatenate([x.ravel(), b])
+            r = rho(t.T_of(0.5 * v * (2.0 * theta - v)))
+            return half * ((1.0 / r[:x.size]).reshape(x.shape) @ w), r[x.size:]
+
+        # the ends in s; the descent's first sub-interval in s covers [0, h0] too
+        p, e = self._descent_cuts(t)[1], [np.zeros(1)]
         if theta > 0:
-            ((_, (e,), rules),) = _angle_panels(t, np.array([theta]))
-            # ungraded without kinks: graded sub-panels are narrow in s, so
-            # one sub-interval each leaves s(y) short of knots near phi = 0
-            lo = e[:-1] if len(rules) == 1 else np.concatenate(
-                [e[i] + (e[i + 1] - e[i]) * r.ends[:-1] for i, r in enumerate(rules)])
-            phi = np.concatenate([lo, [0.5 * np.pi], np.pi - lo[::-1]])
-            legs.insert(0, (_angle_leg, phi, 0.0))
-        # knots from the hot end, where s = y = 0; a leg's first knot is its
-        # start (phi = 0 repeats the hot end) or h0, reached by the closed form
-        rho_h = rho(spec.T_h)
-        s, dy, slope = [np.zeros(1)], [np.zeros(1)], [np.full(1, rho_h)]
-        for leg, v, s0 in legs:
-            a, b = _subdivide(v, _PROFILE_INTERVALS * np.diff(leg(theta, v, 0)[2]) / I)
-            x, half, w = gauss_legendre_on(a, b, _PROFILE_GL_ORDER)
-            n = x.size  # one pass over the nodes, then the knots v[0] and b
-            W, ds, s_k = leg(theta, np.concatenate([x.ravel(), v[:1], b]), n)
-            r = rho(t.T_of(W))
-            s.append(s0 + s_k)
-            dy += [s_k[:1] / rho_h, np.einsum(
-                "ij,ij->i", (ds[:n] / r[:n]).reshape(x.shape), half[:, None] * w)]
-            slope.append(r[n:])
-        s, slope, y = np.concatenate(s), np.concatenate(slope), np.cumsum(np.concatenate(dy))
-        # the spline needs y increasing, and a step below an ulp of y_c only
-        # adds divided differences that overflow: such a knot is dropped
-        y_c = float(y[-1])
-        keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y_c])
-        s_out = _Hermite(y[keep], s[keep], slope[keep])(
-            np.linspace(0.0, y_c, n_out + 1))
-        T = t.T_of(0.5 * s_out * (2.0 * theta - s_out))
+            ((_, (phi,), rules),) = _angle_panels(t, np.array([theta]))
+            up = 2.0 * theta * np.sin(0.5 * np.concatenate(
+                [a + (b - a) * r.ends[:-1] for a, b, r in zip(phi, phi[1:], rules)])) ** 2
+            e = [up, [theta], 2.0 * theta - up[::-1]]
+        e = np.concatenate(e + [max(2.0 * theta, 0.0)
+                                + p * (p / (np.hypot(theta, p) + abs(theta)))])
+        dY, r_e = y_on(e[:-1], e[1:], 24)
+        Y, r_e = np.concatenate([[0.0], np.cumsum(dY)]), np.r_[rho(spec.T_h), r_e]
+
+        y = np.linspace(0.0, y_c, n_out + 1)[1:-1]
+        i = np.minimum(np.searchsorted(Y, y, "right") - 1, e.size - 2)
+        a, b, ra, rb, h = e[i], e[i + 1], r_e[i], r_e[i + 1], Y[i + 1] - Y[i]
+        u, k1, k2 = (y - Y[i]) / h, (b - a) / h - ra, rb - (b - a) / h
+        s0 = np.clip(a + (y - Y[i]) * (ra + u * (2.0 * k1 - k2 + u * (k2 - k1))), a, b)
+        # y at the starts, summed from the point before on the same sub-interval
+        new = np.diff(i, prepend=-1) != 0
+        piece, r = y_on(np.where(new, a, np.roll(s0, 1)), s0, 24)
+        acc = np.cumsum(piece)
+        y0 = Y[i] + acc - (acc - piece)[np.maximum.accumulate(new * np.arange(y.size))]
+
+        s, dy, live = s0.copy(), 0.0, np.arange(y.size)
+        tol = 4.0 * np.finfo(float).eps * (I + abs(theta))
+        for _ in range(16):  # dy = y(s) - y(s0), r = rho(s) on the live points
+            s_live = s[live]
+            s[live] = np.clip(s_live - r * (y0[live] + dy - y[live]), a[live], b[live])
+            live = live[~(np.abs(s[live] - s_live) <= tol)]
+            if not live.size:
+                break
+            dy, r = y_on(s0[live], s[live], 16)
+        else:
+            raise NumericalBlowup(f"no profile at theta={theta:.17g} in 16 Newton steps")
+        s = np.concatenate([[0.0], s, e[-1:]])
+        T = np.r_[spec.T_h, t.T_of(0.5 * s[1:-1] * (2.0 * theta - s[1:-1])), spec.T_c]
 
         absJ = y_c / spec.L
         J = math.copysign(absJ, spec.V)
         R_int = spec.L * I / (y_c * spec.A_c)
         R_total = (1.0 + gamma) * R_int if R_load is None else R_int + R_load
-        q = (s_out - theta) * absJ + spec.alpha0 * T * J
+        q = (s - theta) * absJ + spec.alpha0 * T * J
         return TemperatureSolution(
             x=np.linspace(0.0, spec.L, n_out + 1), T=T, q=q,
             theta=theta, y_c=y_c, J=J, R_total=R_total,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tegsolve as tg
-from tegsolve.errors import DegenerateError, DomainError, ZeroSeebeck, ZeroVoltage
+from tegsolve.errors import (DegenerateError, DomainError, NumericalBlowup, ZeroSeebeck,
+                             ZeroVoltage)
 
 from helpers import random_spec, unit_spec
 
@@ -293,6 +294,64 @@ def test_closed_forms_reject_non_finite_gamma(gamma):
     for fn in (tg.efficiency, tg.matched_initial_slope, tg.is_strictly_decreasing):
         with pytest.raises(DomainError):
             fn(spec, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1.4e154, 1e160, 1e300, np.float64(1e200)],
+                         ids=["1.4e154", "1e160", "1e300", "numpy_1e200"])
+def test_closed_forms_where_gamma_plus_one_squared_overflows(gamma):
+    # eta's limit 0 and the criterion's limit True; a numpy gamma (as a
+    # linspace of load ratios gives it) warns no overflow either
+    spec = unit_spec()
+    assert tg.efficiency(spec, gamma) == 0.0
+    assert tg.is_strictly_decreasing(spec, gamma) is True
+    assert tg.hot_side_relative_flux(spec, gamma) > 0
+
+
+@pytest.mark.parametrize("alpha0", [1.4e154, -1e160, 1e300, 1.2e154])
+def test_closed_forms_where_z_T_h_overflows(alpha0):
+    # z = alpha0^2 (unit leg, T_h = 2): alpha0^2 overflows from 1.34e154, and
+    # z T_h from 9.5e153
+    spec = unit_spec(alpha0=alpha0)
+    for fn in (tg.figure_of_merit, tg.max_efficiency, tg.performance_report,
+               lambda s: tg.efficiency(s, 1.0),
+               lambda s: tg.is_strictly_decreasing(s, 1.0)):
+        with pytest.raises(NumericalBlowup, match="not a finite float"):
+            fn(spec)
+
+
+@pytest.mark.parametrize("alpha0", [1e-162, -1e-170, 5e-324])
+def test_closed_forms_where_alpha0_squared_underflows(alpha0):
+    # z = 0: eta has its limit 0 and the profile still decreases
+    spec = unit_spec(alpha0=alpha0)
+    assert tg.figure_of_merit(spec) == 0.0
+    assert tg.efficiency(spec, 1.0) == 0.0
+    assert tg.is_strictly_decreasing(spec, 1.0) is True
+    assert tg.max_efficiency(spec) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha0, gamma", [(1e-170, 1e200), (1e-150, 1e160)])
+def test_matched_slope_where_r_over_the_level_overflows(alpha0, gamma):
+    # c = |V| / (1 + gamma) underflows to 0 (r / c divides by zero) or to a
+    # subnormal (r / c is inf, theta* -inf)
+    for fn in (tg.matched_initial_slope, tg.hot_side_relative_flux):
+        with pytest.raises(NumericalBlowup, match="r / c overflows"):
+            fn(unit_spec(alpha0=alpha0), gamma)
+
+
+def test_closed_forms_keep_their_values():
+    # the old formulas, with (gamma + 1)**2, where they return a value
+    rng = np.random.default_rng(3)
+    for idx in range(14):
+        spec = random_spec(rng, idx)
+        z, dT, T_h = tg.figure_of_merit(spec), spec.delta_T, spec.T_h
+        assert z == spec.alpha0 ** 2 * dT / spec.rk
+        for gamma in [0.0, *np.logspace(-3, 150, 40)]:
+            old = (dT / T_h) * gamma / (gamma + 1.0 + (gamma + 1.0) ** 2 / (z * T_h)
+                                        - 0.5 * dT / T_h)
+            assert tg.efficiency(spec, gamma) == old, (idx, gamma)
+            assert tg.is_strictly_decreasing(spec, gamma) == (
+                z * dT <= 2.0 * (1.0 + gamma) ** 2)
+
 
 def test_performance_report_fields():
     rep = tg.performance_report(unit_spec())

@@ -369,8 +369,10 @@ def test_trajectory_past_where_kappa_and_rho_turn_invalid_exit_code_and_record(
 
 
 @pytest.mark.parametrize("tolerances", [
-    {"n_out": 0}, {"n_out": -4}, {"scan_samples": 1},
-], ids=["n_out_zero", "n_out_negative", "scan_samples_one"])
+    {"n_out": 0}, {"n_out": -4}, {"scan_samples": 1}, {"sweep_gamma_max": -2.0 ** -8},
+    {"sweep_gamma_max": math.inf}, {"sweep_gamma_max": math.nan},
+], ids=["n_out_zero", "n_out_negative", "scan_samples_one", "sweep_gamma_max_negative",
+        "sweep_gamma_max_infinite", "sweep_gamma_max_nan"])
 def test_tolerance_range_exit_code_and_record(tmp_path, capsys, tolerances):
     cfg = _write_config(tmp_path, tolerances=tolerances)
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_CONFIG
@@ -388,6 +390,34 @@ def test_report_sweep_n_below_two_exit_code_and_record(tmp_path, capsys, sweep_n
     assert record["error"] == "ConfigError"
     assert "sweep_n" in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("alpha0, gamma, tolerances, error", [
+    (1.0, 1e160, {}, None),
+    (1.0, 1.0, {"sweep_gamma_max": 1e200}, None),
+    (1e160, 1.0, {}, "NumericalBlowup"),
+    (1e-170, 1e200, {}, "DegenerateError"),
+], ids=["gamma_1e160", "sweep_gamma_max_1e200", "alpha0_1e160", "alpha0_1e-170"])
+def test_report_at_extreme_magnitudes(tmp_path, capsys, alpha0, gamma, tolerances, error):
+    # a closed form that overflows ends in its limit or a typed error, and
+    # (under pytest's error::RuntimeWarning) warns nothing; unit leg: eta(1) = 2/15
+    material = tmp_path / "mat.json"
+    material.write_text(json.dumps({"kappa": {"family": "constant", "c": 1.0},
+                                    "rho": {"family": "constant", "c": 1.0},
+                                    "alpha0": alpha0}))
+    cfg = _write_config(tmp_path, material_file=str(material), tolerances=tolerances,
+                        mode={"type": "ratio", "gamma": gamma})
+    code = cli.main(["report", "--config", str(cfg)])
+    if error is not None:
+        assert code == cli.EXIT_SOLVER
+        assert json.loads(capsys.readouterr().err.strip())["error"] == error
+        return
+    assert code == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["eta_of_gamma"] == (0.0 if gamma > 1.0 else pytest.approx(2.0 / 15.0))
+    assert rep["decreasing"] is True
+    eta = np.loadtxt(tmp_path / "out" / "eta_sweep.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.isfinite(eta)) and np.all(eta >= 0.0)
 
 
 def test_report_at_tiny_seebeck_coefficient(tmp_path):

@@ -46,12 +46,18 @@ COUNT_VALUES = st.integers(-3, 48) | st.floats(-3.0, 48.0) | _non_numbers
 
 
 def _log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+    """Mantissa times a power of ten: hypothesis draws the exponent's bounds
+    often, where a float range of the logarithm keeps near its middle."""
+    return st.builds(lambda e, m: min(max(m * 10.0 ** e, lo), hi),
+                     st.integers(math.floor(math.log10(lo)), math.ceil(math.log10(hi))),
+                     st.floats(1.0, 10.0))
 
 
-# a small |alpha0| or a big load sends the slope far below -sqrt(2r)
-ALPHA0 = st.builds(math.copysign, _log_uniform(1e-12, 3.0),
+# a small |alpha0| or a big load sends the slope far below -sqrt(2r); the wide
+# ranges reach where alpha0^2, z and (gamma + 1)^2 overflow or underflow
+ALPHA0 = st.builds(math.copysign, _log_uniform(1e-170, 1e170),
                    st.sampled_from([1.0, -1.0]))
+GAMMA = st.floats(0.0, 4.0) | _log_uniform(4.0, 1e200)
 R_LOAD = _log_uniform(1e-2, 1e3)
 
 
@@ -85,7 +91,7 @@ def inputs(draw):
     T_c = draw(st.floats(0.6, 3.0))
     mtype = draw(st.sampled_from(["ratio", "resistance"] if command == "solve"
                                  else sorted(MODE_FIELDS)))
-    mode = {"type": mtype, **{"gamma": draw(st.floats(0.0, 4.0)),
+    mode = {"type": mtype, **{"gamma": draw(GAMMA),
                               "R_load": draw(R_LOAD),
                               "gamma_min": 0.0, "gamma_max": 2.0, "n": 5}}
     mode = {k: v for k, v in mode.items() if k == "type" or k in MODE_FIELDS[mtype]}

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.integrate import quad_vec
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate import quad, quad_vec
+from scipy.optimize import brentq
 
 import tegsolve as tg
 from tegsolve import ivp, loadmode, materials
@@ -27,7 +27,6 @@ TINY = np.finfo(float).tiny  # a q_max that only the first block's rest serves
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 DESCENT_NODES, DESCENT_WEIGHTS = np.polynomial.legendre.leggauss(24)
 EXCURSION_NODES, EXCURSION_WEIGHTS = np.polynomial.legendre.leggauss(16)
-PROFILE_NODES, PROFILE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _sub_intervals(ends, span):
@@ -362,66 +361,6 @@ def test_nan_theta_raises_domain_error():
         q.materialize(math.nan, gamma=1.0)
 
 
-def reference_profile(q, theta, n_out=ivp.N_OUT):
-    """(T, y_c) of materialize(theta) with every panel and sub-interval
-    placed by scalar loops.  For theta > 0 the excursion's panels in phi,
-    s = 2 theta sin^2(phi / 2): [0, pi/2] whole when theta reaches no kink
-    above T_h, else _kink_sub_panels, mirrored onto [0, pi].  Then the
-    descent's p-panels from h0 to P, s = 2 max(theta, 0) + p^2 /
-    (hypot(theta, p) + |theta|), after [0, h0] in closed form.  Each panel is
-    cut into ceil(1024 ds / I) equal sub-intervals of 16-point Gauss-Legendre
-    of ds / rho; a Hermite spline of s(y) through their ends with slope rho
-    gives T = W^-1(s (2 theta - s) / 2) on the output points."""
-    theta, tau = float(theta), abs(float(theta))
-    t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
-    rho = q.spec.pair.rho.value
-    I = float(tg.shooting_function(q.spec, theta))
-    assert ivp._PROFILE_GL_ORDER == PROFILE_NODES.size
-
-    def T(W):
-        return t.inv(np.clip(W, t.W[0], t.W[-1]))
-
-    def angle(phi):  # W, ds/dphi and s
-        m = theta * np.sin(phi)
-        return 0.5 * m * m, m, 2.0 * theta * np.sin(0.5 * phi) ** 2
-
-    def descent(p):  # W, ds/dp and s less 2 max(theta, 0); p > 0
-        h = np.hypot(theta, p)
-        return -0.5 * p * p, p / h, p * (p / (h + tau))
-
-    legs = []
-    if theta > 0:
-        ends = _angle_ends(t, theta)
-        lo = [0.0] if len(ends) == 2 else [c for c, _ in _kink_sub_panels(ends)]
-        legs.append((angle, lo + [0.5 * math.pi] + [math.pi - v for v in reversed(lo)], 0.0))
-    legs.append((descent, _descent_ends(q, t), max(2.0 * theta, 0.0)))
-    rho_h = float(rho(q.spec.T_h))
-    s, y, slope = [0.0], [0.0], [rho_h]
-    for leg, ends, s0 in legs:
-        first = float(leg(ends[0])[2])
-        s.append(s0 + first)
-        y.append(y[-1] + first / rho_h)
-        slope.append(float(rho(T(leg(ends[0])[0]))))
-        for a, b in zip(ends[:-1], ends[1:]):
-            ds = float(leg(b)[2] - leg(a)[2])
-            n_sub = math.ceil(1024 * ds / I) if ds > 0 else 0
-            for j in range(n_sub):
-                c = j * ((b - a) / n_sub) + a
-                d = b if j + 1 == n_sub else (j + 1) * ((b - a) / n_sub) + a
-                x = 0.5 * (d - c) * PROFILE_NODES + 0.5 * (c + d)
-                W, dsdx, _ = leg(x)
-                y.append(y[-1] + float(np.einsum("j,j->", dsdx / rho(T(W)),
-                                                 0.5 * (d - c) * PROFILE_WEIGHTS)))
-                W_d, _, s_d = leg(d)
-                s.append(s0 + float(s_d))
-                slope.append(float(rho(T(W_d))))
-    s, y, slope = np.array(s), np.array(y), np.array(slope)
-    keep = np.concatenate([[True], np.diff(y) > 2.0 ** -52 * y[-1]])
-    s_out = CubicHermiteSpline(y[keep], s[keep], slope[keep])(
-        np.linspace(0.0, y[-1], n_out + 1))
-    return T(0.5 * s_out * (2.0 * theta - s_out)), float(y[-1])
-
-
 def _mirror_cases():
     yield "three_solutions", three_solution_problem().spec
     yield "two_solutions", two_solution_problem()[0].spec
@@ -448,12 +387,97 @@ def test_mirrored_panels_match_full_panel_rule(name, spec, monkeypatch):
     want = [2.0 * reference_excursion(q, th) if th > 0 else 0.0 for th in thetas]
     np.testing.assert_array_equal(got[thetas <= 0], 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
-    # the profile takes those panels mirrored onto [0, pi], then the descent's
-    for theta in thetas[[1, 4, 7, 9]]:
-        T_want, y_c_want = reference_profile(q, float(theta))
-        sol = q.materialize(float(theta), gamma=1.0)
-        assert np.max(np.abs(sol.T - T_want)) <= 1e-14 * spec.T_h, (name, theta)
-        assert sol.y_c == pytest.approx(y_c_want, rel=1e-14, abs=0), (name, theta)
+
+
+def test_profile_y_c_is_y_c_of_theta_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        q = tg.HittingTimeQuadrature(spec)
+        P = math.sqrt(2.0 * spec.rk)
+        for f in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.0):
+            assert q.materialize(f * P, gamma=1.0).y_c == q.y_c(f * P), (idx, f)
+
+
+def quad_profile(q, theta, n_out):
+    """(T, y_c) of the profile of theta at the output points y_j = j y_c /
+    n_out: y(s) = \\int_0^s ds / rho(T(s)), T = W^-1(s (2 theta - s) / 2) on
+    q's table, by scipy's quad on [0, I(theta)] split at s = theta and at
+    the s-images theta -+ sqrt(theta^2 - 2 q_k) of the kinks, each y_j
+    inverted by scipy's brentq within its piece."""
+    theta = float(theta)
+    t = q._reach(0.5 * theta * theta) if theta > 0 else q._table
+    rho = q.spec.pair.rho.value
+    I = float(tg.shooting_function(q.spec, theta))
+
+    def T(s):
+        return t.inv(np.clip(0.5 * s * (2.0 * theta - s), t.W[0], t.W[-1]))
+
+    def y(a, b):
+        return quad(lambda s: 1.0 / float(rho(T(s))), a, b,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    cuts = {0.0, I, theta}
+    for q_k in t.kink_q:
+        if theta * theta > 2.0 * q_k:
+            root = math.sqrt(theta * theta - 2.0 * q_k)
+            cuts |= {theta - root, theta + root}
+    cuts = sorted(c for c in cuts if 0.0 <= c <= I)
+    ys = np.cumsum([0.0] + [y(a, b) for a, b in zip(cuts[:-1], cuts[1:])])
+    s_out = [0.0]
+    for j in range(1, n_out):
+        y_j = j * ys[-1] / n_out
+        k = int(np.searchsorted(ys, y_j, "right")) - 1
+        a, b = cuts[k], cuts[k + 1]
+        s_out.append(brentq(lambda s: ys[k] + y(a, s) - y_j, a, b,
+                            xtol=1e-16 * I, rtol=4.0 * np.finfo(float).eps))
+    s_out = np.array(s_out + [I])
+    return T(s_out), float(ys[-1])
+
+
+def test_profiles_at_twice_P_match_quad_on_the_table_legs():
+    # legs whose profile the earlier knot budget missed at 2P: 3.2e-7 T_h on
+    # leg 13, 4.7e-10 and 1.2e-8 on the table legs 24 and 27
+    rng = np.random.default_rng(71)
+    specs = [random_spec(rng, idx) for idx in range(28)]
+    for idx in (13, 24, 27):
+        spec = specs[idx]
+        q = tg.HittingTimeQuadrature(spec)
+        theta = 2.0 * math.sqrt(2.0 * spec.rk)
+        T, y_c = quad_profile(q, theta, 8)
+        sol = q.materialize(theta, gamma=1.0, n_out=8)
+        assert sol.y_c == pytest.approx(y_c, rel=1e-13, abs=0), idx
+        assert np.max(np.abs(sol.T - T)) <= 1e-11 * spec.T_h, idx
+
+
+def _sweep_cases():
+    rng = np.random.default_rng(71)
+    for idx in range(49):
+        spec = random_spec(rng, idx)
+        P = math.sqrt(2.0 * spec.rk)
+        yield f"random_{idx}", spec, [f * P for f in (-4.0, -1.0, -0.1, -1e-3, 0.0, 1e-3,
+                                                      0.1, 0.5, 1.0, 2.0, 4.0)]
+    for rho_e in (0.02, 0.005, 0.001):
+        pair = tg.MaterialPair(tg.constant(1.0), oracles.steep_table_rho(rho_e), 3.0)
+        yield f"steep_{rho_e}", tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0), \
+            [0.5, 2.0, 5.0, 20.0]
+    for name, prob in (("three_solutions", three_solution_problem()),
+                       ("two_solutions", two_solution_problem()[0])):
+        yield name, prob.spec, np.linspace(-3.0, 0.5 * abs(prob.spec.V), 41)
+
+
+def test_every_profile_point_converges():
+    # materialize raises NumericalBlowup for a point its Newton steps leave
+    # unconverged; leg 9 (rho * kappa integrable) has no table up to 4P
+    for name, spec, thetas in _sweep_cases():
+        q = tg.HittingTimeQuadrature(spec)
+        for theta in thetas:
+            if name == "random_9" and theta > 3.0 * math.sqrt(2.0 * spec.rk):
+                with pytest.raises(tg.NumericalBlowup, match="appears integrable"):
+                    q.materialize(float(theta), gamma=1.0)
+                continue
+            sol = q.materialize(float(theta), gamma=1.0)
+            assert np.all(np.isfinite(sol.T)), (name, theta)
 
 
 def eager_first_block(q):
@@ -667,20 +691,8 @@ def test_descent_matches_the_s_form_loop_on_all_family_pairs():
             assert abs(q.y_c(f * P) - want) <= REL * want, (idx, f)
 
 
-def test_ratio_solve_and_materialize_leave_the_descent_unbuilt(monkeypatch):
-    built = []
-
-    class Recorded(ivp.HittingTimeQuadrature):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(ivp, "HittingTimeQuadrature", Recorded)
-    spec = three_solution_problem().spec
-    tg.solve_ratio_mode(spec, 1.0)
-    (q,) = built
-    for theta in (-0.5, 0.0, 0.5):
-        q.materialize(theta, gamma=1.0)
+def test_building_the_quadrature_leaves_the_descent_unbuilt():
+    q = tg.HittingTimeQuadrature(three_solution_problem().spec)
     assert "_descent" not in vars(q)
     q.y_c(-0.5)
     assert "_descent" in vars(q)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tegsolve as tg
-from tegsolve.errors import DomainError, InvalidMaterial
+from tegsolve.errors import DegenerateError, DomainError, InvalidMaterial, ZeroVoltage
 
 import oracles
 from helpers import (random_spec, three_solution_problem, two_solution_problem,
@@ -289,6 +289,18 @@ def test_negative_R_load_rejected():
     for R_load in (-1.0, math.inf, math.nan):  # and a load that is not finite
         with pytest.raises(DomainError, match="R_load"):
             tg.LoadResistanceProblem(spec=unit_spec(), R_load=R_load)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: tg.HittingTimeQuadrature(unit_spec(T_h=1.0)), DegenerateError),
+    (lambda: tg.enumerate_solutions(tg.LoadResistanceProblem(unit_spec(alpha0=0.0), 1.0)),
+     ZeroVoltage),
+    (lambda: tg.H_of_theta(tg.LoadResistanceProblem(unit_spec(alpha0=0.0), 1.0), 0.5),
+     ZeroVoltage),
+], ids=["quadrature_at_zero_gap", "enumerate_at_zero_alpha0", "H_at_zero_alpha0"])
+def test_a_leg_without_voltage_raises_typed(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,13 @@ def test_brentq_failures_are_typed():
         loadmode.brentq(f, 0.0, 1.0, xtol=1e-15, rtol=4 * EPS, maxiter=1)
     with pytest.raises(NumericalBlowup, match="one sign"):
         loadmode.brentq(f, 0.5, 1.0, xtol=1e-15, rtol=4 * EPS, maxiter=100)
-    with pytest.raises(NumericalBlowup, match="NaN"):
+    with pytest.raises(NumericalBlowup, match="NaN at 0 or 1"):
         loadmode.brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-15, rtol=4 * EPS,
                         maxiter=100)
+    # a bracket with a sign change, and NaN at the first step inside it
+    with pytest.raises(NumericalBlowup, match="NaN at x=0.29"):
+        loadmode.brentq(lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan, 0.0, 1.0,
+                        xtol=1e-15, rtol=4 * EPS, maxiter=100)
 
 
 def test_cold_cli_import_loads_no_scipy():
