@@ -202,13 +202,11 @@ def main(argv=None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     try:
-        # the --out override goes through the same validation as the file
-        data = io.load_config(args.config).to_json()
-        if args.out is not None:
-            data["output_dir"] = args.out
-        cfg = io.config_from_dict(data)
+        cfg = io.load_config(args.config)
     except ConfigError as exc:
         return _error_record(exc, EXIT_CONFIG)
+    if args.out is not None:
+        cfg.output_dir = args.out
     if args.dump_config:
         print(json.dumps(cfg.to_json(), indent=2, sort_keys=True))
         return EXIT_OK

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -183,16 +182,17 @@ def _k_linear_solution(spec: GeneratorSpec, gamma: float,
     _check_n_out(n_out)
     x = np.linspace(0.0, spec.L, n_out + 1)
     if spec.delta_T == 0:
-        T = np.full_like(x, spec.T_c)
+        T, u_h = np.full_like(x, spec.T_c), spec.T_c
         R_int = spec.pair.rho.value(spec.T_c) * spec.L / spec.A_c
     else:
         grid, K = spec.K_table(spec.T_h)
+        u_h = float(K[-1])  # spec.u_h, without building the table again
         K_inv = _Hermite(K, grid, 1.0 / spec.pair.kappa.value(grid))
-        T = K_inv(np.linspace(spec.u_h, spec.u_c, n_out + 1))
-        R_int = spec.L * spec.rk / ((spec.u_h - spec.u_c) * spec.A_c)
-    q = np.full_like(x, (spec.u_h - spec.u_c) / spec.L)
+        T = K_inv(np.linspace(u_h, spec.u_c, n_out + 1))
+        R_int = spec.L * spec.rk / ((u_h - spec.u_c) * spec.A_c)
+    q = np.full_like(x, (u_h - spec.u_c) / spec.L)
     return TemperatureSolution(
-        x=x, T=T, q=q, theta=(spec.u_c - spec.u_h) / spec.L, y_c=0.0, J=0.0,
+        x=x, T=T, q=q, theta=(spec.u_c - u_h) / spec.L, y_c=0.0, J=0.0,
         R_total=(1.0 + gamma) * R_int, q_h=float(q[0]), q_c=float(q[-1]),
         gamma=gamma,
     )
@@ -212,19 +212,6 @@ def solve_ratio_mode(spec: GeneratorSpec, gamma: float, *,
         return _k_linear_solution(spec, gamma, n_out)
     return HittingTimeQuadrature(spec).materialize(
         matched_initial_slope(spec, gamma), gamma=gamma, n_out=n_out)
-
-
-def _subdivide(ends: np.ndarray, share: np.ndarray):
-    """The ends a, b of ceil(share[i]) equal sub-intervals of each panel
-    [ends[i], ends[i + 1]] (none where share[i] is not positive), placed as
-    np.linspace places them, in one array pass."""
-    n_sub = np.where(share > 0, np.ceil(share), 0).astype(np.intp)
-    k = np.repeat(n_sub, n_sub)
-    j = np.arange(k.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    a0 = np.repeat(ends[:-1], n_sub)
-    step = np.repeat(np.diff(ends), n_sub) / k
-    b = np.where(j + 1 == k, np.repeat(ends[1:], n_sub), (j + 1) * step + a0)
-    return j * step + a0, b
 
 
 def _squared(theta):
@@ -253,6 +240,16 @@ class _WTable(NamedTuple):
         return self.inv(np.clip(W, self.W[0], self.W[-1]))
 
 
+class _Descent(NamedTuple):
+    """The descent C on [h0, P] in p, laid out once per quadrature."""
+
+    ends: np.ndarray  # sub-interval ends, sorted, from h0 to P
+    p: np.ndarray     # 24-point Gauss-Legendre nodes on the sub-intervals
+    pp: np.ndarray    # p^2
+    wf: np.ndarray    # the weights times f(p) = 1 / rho(W^{-1}(-p^2 / 2))
+    f0: float         # f(0) = 1 / rho(T_h), for [0, h0] in closed form
+
+
 def _angle_panels(t: _WTable, theta: np.ndarray):
     """The excursion's panels in phi for theta > 0, per number k of kinks
     above T_h a row reaches: its rows, the panel ends 0, phi_k =
@@ -277,7 +274,9 @@ class HittingTimeQuadrature:
 
     y_c(theta) = C(|theta|) + [theta > 0] 2 \\int_0^theta ds / rho(T(s)).  The
     integrand of the descent C, in p, does not depend on theta: its nodes and
-    values are built once (_descent), and a theta costs one kernel product.
+    values are laid out with the table (_lay_descent), on sub-intervals graded
+    toward p = 0, the top one split at its quarter points and all of them cut
+    at the kinks below T_h, and a theta costs one kernel product.
     The excursion above T_h is integrated in the turning-point angle phi, on
     fixed nodes graded toward phi = 0 and, where the row reaches kinks above
     T_h, on panels cut at them and graded toward them (_excursion).  The
@@ -299,6 +298,7 @@ class HittingTimeQuadrature:
             raise DegenerateError("hitting-time quadrature needs T_h > T_c")
         self.spec = spec
         self._table = self._build()
+        self._descent = self._lay_descent(self._table)
 
     def _build(self) -> _WTable:
         """The first table: W on the first block's nodes up to T_h, the rest
@@ -385,29 +385,21 @@ class HittingTimeQuadrature:
             out[i:i + _Y_C_CHUNK] = self._y_c_chunk(t, flat[i:i + _Y_C_CHUNK])
         return _ret(out.reshape(theta.shape))
 
-    def _descent_cuts(self, t: _WTable):
-        """The ends a, b of the descent's sub-intervals in p: the panels between
-        P 4^-k, k <= _DESCENT_LEVELS, P = sqrt(2r), and the kinks' sqrt(-2 q_k),
-        each cut into ceil(4 width / (P - h0)); [0, h0] is a closed form."""
-        P = math.sqrt(2.0 * self.spec.rk)
-        h0 = P * 0.25 ** _DESCENT_LEVELS
-        ends = np.sort([P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)] + [
-            p_k for q_k in t.kink_q
-            if q_k < 0 and h0 < (p_k := math.sqrt(-2.0 * q_k)) < P])
-        return _subdivide(ends, 4 * np.diff(ends) / (P - h0))
-
-    @cached_property
-    def _descent(self):
-        """Nodes p of C on [h0, P], p^2, the GL weights times f(p) = 1 /
-        rho(W^{-1}(-p^2 / 2)), h0 and f(0), on the sub-intervals of
-        _descent_cuts.  Built on first use from the table up to T_h, which no
-        extension moves."""
-        t, rho = self._table, self.spec.pair.rho.value
-        a, b = self._descent_cuts(t)
-        x, half, w = gauss_legendre_on(a, b, _DESCENT_GL_ORDER)
+    def _lay_descent(self, t: _WTable) -> _Descent:
+        """The descent on the sub-intervals in p between P 4^-k, k <=
+        _DESCENT_LEVELS, P = sqrt(2r), the three quarter points of [P/4, P]
+        and the kinks' sqrt(-2 q_k) in (h0, P), h0 = P 4^-_DESCENT_LEVELS;
+        built from the table up to T_h, which no extension moves."""
+        P, rho = math.sqrt(2.0 * self.spec.rk), self.spec.pair.rho.value
+        q, h0 = P * 0.25, P * 0.25 ** _DESCENT_LEVELS
+        ends = np.array(sorted({P * 0.25 ** k for k in range(_DESCENT_LEVELS + 1)}
+                               | {j * ((P - q) / 4) + q for j in (1, 2, 3)}
+                               | {p_k for q_k in t.kink_q
+                                  if q_k < 0 and h0 < (p_k := math.sqrt(-2.0 * q_k)) < P}))
+        x, half, w = gauss_legendre_on(ends[:-1], ends[1:], _DESCENT_GL_ORDER)
         p = x.ravel()
-        f = 1.0 / rho(t.T_of(-0.5 * p * p))
-        return p, p * p, np.outer(half, w).ravel() * f, a[0], 1.0 / rho(self.spec.T_h)
+        wf = np.outer(half, w).ravel() * (1.0 / rho(t.T_of(-0.5 * p * p)))
+        return _Descent(ends, p, p * p, wf, 1.0 / rho(self.spec.T_h))
 
     def _y_c_chunk(self, t: _WTable, theta: np.ndarray) -> np.ndarray:
         """C(|theta|) as one kernel product on the nodes of _descent, with
@@ -415,7 +407,8 @@ class HittingTimeQuadrature:
         twice the excursion for theta > 0.  Every row is summed in a fixed
         order, so its bits do not depend on the other theta of the chunk."""
         tt, tau = _squared(theta), np.abs(theta)
-        p, pp, wf, h0, f0 = self._descent
+        ends, p, pp, wf, f0 = self._descent
+        h0 = ends[0]
         out = (np.einsum("ij,j->i", p / np.sqrt(tt[:, None] + pp), wf)
                + f0 * h0 * h0 / (np.hypot(h0, tau) + tau))
         up = np.flatnonzero(theta > 0)
@@ -477,7 +470,7 @@ class HittingTimeQuadrature:
             return half * ((1.0 / r[:x.size]).reshape(x.shape) @ w), r[x.size:]
 
         # the ends in s; the descent's first sub-interval in s covers [0, h0] too
-        p, e = self._descent_cuts(t)[1], [np.zeros(1)]
+        p, e = self._descent.ends[1:], [np.zeros(1)]
         if theta > 0:
             ((_, (phi,), rules),) = _angle_panels(t, np.array([theta]))
             up = 2.0 * theta * np.sin(0.5 * np.concatenate(

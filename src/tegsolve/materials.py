@@ -278,14 +278,14 @@ def from_fields(cls, d, where: str, error=InvalidMaterial, extra=(),
 
 
 def number(key: str, v, error=InvalidMaterial, whole: bool = False):
-    """v as a float (an int if whole); error naming key unless v is a real
-    number in the float range, and whole if whole.  A bool or a string is not."""
+    """v as a float (an int if whole); error naming key unless v is a finite
+    real number, and whole if whole.  A bool, a string, NaN or inf is not."""
     try:
         x = float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool) else None
     except OverflowError:  # an int beyond the float range
         x = None
-    if x is None or whole and not x.is_integer():
-        raise error(f"{key} must be a {'whole ' if whole else ''}number, got {v!r}")
+    if x is None or not math.isfinite(x) or whole and not x.is_integer():
+        raise error(f"{key} must be a finite {'whole ' if whole else ''}number, got {v!r}")
     return int(x) if whole else x
 
 

@@ -382,6 +382,41 @@ def test_tolerance_range_exit_code_and_record(tmp_path, capsys, tolerances):
     assert not (tmp_path / "out").exists()
 
 
+# each mode with the command that serves it, and a valid mode dict
+_MODE_RUNS = {"ratio": ("solve", {"gamma": 1.0}),
+              "resistance": ("solve", {"R_load": 1.0}),
+              "sweep": ("sweep", {"gamma_min": 0.0, "gamma_max": 2.0, "n": 3}),
+              "multiplicity": ("multiplicity", {"R_load": 1.0})}
+_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _non_finite_cases():
+    for mtype, (command, fields_) in _MODE_RUNS.items():
+        for where, keys in (("config", ("T_h", "T_c", "L", "A_c")),
+                            ("mode", fields_), ("tolerances", io.TOLERANCES)):
+            for key in keys:
+                for name, value in _NON_FINITE.items():
+                    yield pytest.param(command, mtype, where, key, value,
+                                       id=f"{mtype}-{key}-{name}")
+
+
+@pytest.mark.parametrize("command, mtype, where, key, value", list(_non_finite_cases()))
+def test_non_finite_config_number_exit_code_and_record(
+        tmp_path, capsys, command, mtype, where, key, value):
+    # JSON's Infinity, -Infinity and NaN are no number of the schema, wherever
+    # they stand: a config error before any material is read or solver runs
+    mode = {"type": mtype, **_MODE_RUNS[mtype][1]}
+    overrides = {"mode": mode, "tolerances": {}}
+    target = {"config": overrides, "mode": mode, "tolerances": overrides["tolerances"]}
+    target[where][key] = value
+    cfg = _write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert key in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("sweep_n", [-1, 0, 1])
 def test_report_sweep_n_below_two_exit_code_and_record(tmp_path, capsys, sweep_n):
     cfg = _write_config(tmp_path, tolerances={"sweep_n": sweep_n})
@@ -473,7 +508,14 @@ def test_write_csv_bytes_match_per_value_format(tmp_path, rows):
      "rho": {"family": "constant", "c": 1.0}, "alpha0": "abc"},
     {"kappa": {"family": "table", "knots": [[1.0, 1.0], [2, "x"]]},
      "rho": {"family": "constant", "c": 1.0}, "alpha0": 1.0},
-], ids=["alpha0_text", "table_knot_text"])
+    {"kappa": {"family": "constant", "c": 1.0},
+     "rho": {"family": "constant", "c": 1.0}, "alpha0": math.inf},
+    {"kappa": {"family": "constant", "c": -math.inf},
+     "rho": {"family": "constant", "c": 1.0}, "alpha0": 1.0},
+    {"kappa": {"family": "table", "knots": [[1.0, 1.0], [2.0, math.nan]]},
+     "rho": {"family": "constant", "c": 1.0}, "alpha0": 1.0},
+], ids=["alpha0_text", "table_knot_text", "alpha0_infinite", "c_negative_infinite",
+        "table_knot_nan"])
 def test_non_numeric_material_field_exit_code_and_record(tmp_path, capsys, material):
     mat = tmp_path / "material.json"
     mat.write_text(json.dumps(material))
@@ -481,6 +523,7 @@ def test_non_numeric_material_field_exit_code_and_record(tmp_path, capsys, mater
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_MATERIAL
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "InvalidMaterial"
+    assert "must be a finite number" in record["message"]
     assert record["exit_code"] == cli.EXIT_MATERIAL
 
 

@@ -43,6 +43,8 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(_name, inner, max_size=3), max_leaves=6)
 _non_numbers = st.none() | st.booleans() | _name | st.lists(_scalar, max_size=2)
 COUNT_VALUES = st.integers(-3, 48) | st.floats(-3.0, 48.0) | _non_numbers
+# JSON's Infinity, -Infinity and NaN, drawn often: no number of the schema takes them
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
 
 
 def _log_uniform(lo, hi):
@@ -109,7 +111,7 @@ def inputs(draw):
         if key in d and draw(st.booleans()):
             del d[key]
         else:
-            d[key] = draw(COUNT_VALUES if key in COUNT_KEYS else JSON_VALUES)
+            d[key] = draw((COUNT_VALUES if key in COUNT_KEYS else JSON_VALUES) | NON_FINITE)
     return command, material, config
 
 

@@ -30,8 +30,8 @@ EXCURSION_NODES, EXCURSION_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _sub_intervals(ends, span):
-    """The sub-intervals (a, b) between the sorted ends, cut as _subdivide
-    cuts them: ceil(4 width / span) equal ones per panel."""
+    """The sub-intervals (a, b) between the sorted ends, ceil(4 width / span)
+    equal ones per panel."""
     for lo, hi in zip(ends[:-1], ends[1:]):
         n_sub = math.ceil(4.0 * (hi - lo) / span)
         step = (hi - lo) / n_sub
@@ -99,11 +99,14 @@ def reference_excursion(q, theta):
 
 
 def _descent_ends(q, t):
-    """The descent's panel ends in p, sorted: P 4^-k for k = _DESCENT_LEVELS
-    .. 0, P = sqrt(2r), and the sqrt(-2 q_k) of the kinks below T_h."""
+    """The descent's sub-interval ends in p, sorted: P 4^-k for k =
+    _DESCENT_LEVELS .. 0, P = sqrt(2r), the three quarter points of [P/4, P]
+    and the sqrt(-2 q_k) of the kinks below T_h."""
     P = math.sqrt(2.0 * q.spec.rk)
     h0 = P * 0.25 ** ivp._DESCENT_LEVELS
     ends = {P * 0.25 ** k for k in range(ivp._DESCENT_LEVELS + 1)}
+    for j in (1, 2, 3):
+        ends.add(j * ((P - 0.25 * P) / 4) + 0.25 * P)
     for q_k in t.kink_q:
         if q_k < 0 and h0 < math.sqrt(-2.0 * q_k) < P:
             ends.add(math.sqrt(-2.0 * q_k))
@@ -112,8 +115,8 @@ def _descent_ends(q, t):
 
 def reference_y_c(q, theta):
     """y_c(theta) with every panel, sub-interval and node placed by scalar
-    loops: the descent from T_h to T_c in p = sqrt(-2 W(T)) on the graded
-    p-panels, with [0, h0] in closed form, and for theta > 0 twice
+    loops: the descent from T_h to T_c in p = sqrt(-2 W(T)) between the
+    _descent_ends, with [0, h0] in closed form, and for theta > 0 twice
     reference_excursion.  The Gauss-Legendre sums of one theta are einsum
     sums, as in the kernel: a tangency theta minimises a flat H, so it
     follows H to the last bit."""
@@ -129,7 +132,7 @@ def reference_y_c(q, theta):
     ends = _descent_ends(q, t)
     h0, P = ends[0], ends[-1]
     p, wf = [], []
-    for a, b in _sub_intervals(ends, P - h0):
+    for a, b in zip(ends[:-1], ends[1:]):
         x = 0.5 * (b - a) * DESCENT_NODES + 0.5 * (a + b)
         p.append(x)
         wf.append(0.5 * (b - a) * DESCENT_WEIGHTS * inv_rho(-0.5 * x * x))
@@ -341,6 +344,15 @@ def test_converging_coupling_integral_raises_numerical_blowup():
     assert q._table.T is grid  # the failed extension appended nothing
 
 
+def test_coupling_integral_stalled_below_T_h_raises_numerical_blowup():
+    # rho * kappa = 1e-400 underflows to 0: W stops growing at T_c already,
+    # so the table cannot even reach T_h
+    pair = tg.MaterialPair(tg.constant(1e-200), tg.constant(1e-200), 1.0)
+    spec = tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0)
+    with pytest.raises(tg.NumericalBlowup, match=r"^coupling integral stops growing at T=1;"):
+        tg.HittingTimeQuadrature(spec)
+
+
 def test_theta_squared_overflow_raises_numerical_blowup():
     # theta^2 overflows a float: the slope range w_c..theta is not representable
     spec = _spec_at(3, 2)
@@ -379,8 +391,8 @@ def test_mirrored_panels_match_full_panel_rule(name, spec, monkeypatch):
     thetas = np.array([-3.0 * s, -s, -0.1 * s, 0.0, 1e-3 * s, 0.1 * s, 0.5 * s,
                        s, 0.5 * V, 0.99 * V])
     q.y_c(thetas)  # extends the grid first, so both read the same one
-    descent = p, pp, wf, h0, _ = q._descent
-    q._descent = p, pp, 0.0 * wf, h0, 0.0  # C = 0: y_c - C is the excursion alone
+    descent = q._descent
+    q._descent = descent._replace(wf=0.0 * descent.wf, f0=0.0)  # C = 0: the excursion
     got = q.y_c(thetas)
     q._descent = descent
     # the excursion has no mirror panels: its reference is the scalar phi loop
@@ -691,14 +703,7 @@ def test_descent_matches_the_s_form_loop_on_all_family_pairs():
             assert abs(q.y_c(f * P) - want) <= REL * want, (idx, f)
 
 
-def test_building_the_quadrature_leaves_the_descent_unbuilt():
-    q = tg.HittingTimeQuadrature(three_solution_problem().spec)
-    assert "_descent" not in vars(q)
-    q.y_c(-0.5)
-    assert "_descent" in vars(q)
-
-
-def test_kink_below_T_h_is_a_descent_panel_end(monkeypatch):
+def test_kink_below_T_h_is_a_descent_panel_end():
     # rho a 9-knot table: the knot at 1.5 K is the one inside (T_c, T_h),
     # at W = -0.625 (rho falls linearly from 1.5 to 1 over [1.5, 2] K)
     knots = [(0.5 * (i + 1), 1.0 + 0.25 * (i % 3)) for i in range(9)]
@@ -706,25 +711,19 @@ def test_kink_below_T_h_is_a_descent_panel_end(monkeypatch):
     q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
     (q_k,) = q._table.kink_q
     assert q_k == pytest.approx(-0.625, rel=1e-15)
-    ends = []
-    subdivide = ivp._subdivide
-    monkeypatch.setattr(ivp, "_subdivide",
-                        lambda e, share: ends.append(e.copy()) or subdivide(e, share))
-    q.y_c(-1.0)
-    (descent,) = ends
-    assert math.sqrt(-2.0 * q_k) in descent
+    assert math.sqrt(-2.0 * q_k) in q._descent.ends
 
 
-def test_scan_below_T_h_evaluates_only_the_descent_nodes():
-    # a 2,048-theta scan of theta <= 0 evaluates W^-1 on the descent's nodes
-    # only, once, and on no nodes of its own per theta
+def test_scan_below_T_h_evaluates_no_W_inverse():
+    # the descent's nodes are evaluated with the table, so a 2,048-theta scan
+    # of theta <= 0 evaluates W^-1 nowhere
     q = tg.HittingTimeQuadrature(three_solution_problem().spec)
     points = []
     inv = q._table.inv
     q._table = q._table._replace(inv=lambda x: points.append(np.size(x)) or inv(x))
     P = math.sqrt(2.0 * q.spec.rk)
     q.y_c(np.linspace(-4.0 * P, 0.0, 2048))
-    assert sum(points) == q._descent[0].size <= 1000
+    assert points == [] and q._descent.p.size <= 1000
 
 
 def _bit_cases():

@@ -391,3 +391,12 @@ def test_material_json_rejects_unknown_family():
         tg.model_from_json({"family": "cubic", "a": 1.0})
     with pytest.raises(InvalidMaterial):
         tg.model_from_json({"family": "linear", "a": 1.0})  # missing b
+
+
+@pytest.mark.parametrize("knots", [5, [[1.0, 1.0, 1.0], [2.0, 2.0]]],
+                         ids=["not_a_list", "three_element_knot"])
+def test_material_json_rejects_malformed_table_knots(knots):
+    # numbers every one, but no list of (T, value) pairs: the family's own
+    # constructor fails, and the failure is an InvalidMaterial
+    with pytest.raises(InvalidMaterial, match=r"^bad parameters for family 'table'"):
+        tg.model_from_json({"family": "table", "knots": knots})
