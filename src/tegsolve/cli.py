@@ -50,11 +50,6 @@ def _error_record(exc: Exception, code: int) -> int:
     return code
 
 
-def _build_spec(cfg: io.RunConfig) -> GeneratorSpec:
-    pair = io.load_material_file(cfg.material_file)
-    return GeneratorSpec(pair=pair, T_h=cfg.T_h, T_c=cfg.T_c, L=cfg.L, A_c=cfg.A_c)
-
-
 def _given(cfg: io.RunConfig, *keys: str) -> dict:
     """The tolerances among keys that the config sets; the routine they go
     to keeps its own default for the others."""
@@ -119,18 +114,18 @@ def cmd_report(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
 
 def cmd_sweep(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     outdir = Path(cfg.output_dir)
-    opts = _given(cfg, "n_out")
     gammas = np.linspace(cfg.mode["gamma_min"], cfg.mode["gamma_max"],
                          int(cfg.mode["n"]))
-    # one quadrature build serves every gamma of the sweep
+    # one quadrature build serves every gamma of the sweep; no column reads a
+    # profile's interior, so each is built on its two ends alone
     quadrature = ivp.HittingTimeQuadrature(spec) if spec.V != 0 else None
     rows = []
     for g in gammas:
         if quadrature is None:
-            sol = ivp.solve_ratio_mode(spec, float(g), **opts)
+            sol = ivp.solve_ratio_mode(spec, float(g), n_out=1)
         else:
             sol = quadrature.materialize(analytic.matched_initial_slope(spec, float(g)),
-                                         gamma=float(g), **opts)
+                                         gamma=float(g), n_out=1)
         eta_cf = analytic.efficiency(spec, float(g)) if spec.V != 0 else 0.0
         rows.append((g, eta_cf, sol.eta_numeric, sol.theta, sol.y_c, sol.J,
                      sol.R_total, sol.q_h, sol.q_c))
@@ -148,15 +143,21 @@ def cmd_multiplicity(cfg: io.RunConfig, spec: GeneratorSpec) -> None:
     _write_multiplicity(outdir, result, spec, with_curve=True)
 
 
+# each command: its routine, the mode types it serves and its help line
 _COMMANDS = {
-    "solve": cmd_solve,
-    "report": cmd_report,
-    "sweep": cmd_sweep,
-    "multiplicity": cmd_multiplicity,
+    "solve": (cmd_solve, ("ratio", "resistance"),
+              "solve one steady state (ratio mode) or all of them "
+              "(resistance mode) and write profile CSVs"),
+    "report": (cmd_report, tuple(io.MODE_FIELDS),
+               "closed-form performance report (z, eta curve, optimum, "
+               "flux and profile-shape diagnostics)"),
+    "sweep": (cmd_sweep, ("sweep",),
+              "solve over a gamma range and tabulate closed-form vs "
+              "numeric efficiency"),
+    "multiplicity": (cmd_multiplicity, ("multiplicity",),
+                     "enumerate all steady states at a fixed load "
+                     "resistance, with the H-curve"),
 }
-# the mode types each command serves
-_MODES = {"solve": ("ratio", "resistance"), "report": tuple(io.MODE_FIELDS),
-          "sweep": ("sweep",), "multiplicity": ("multiplicity",)}
 
 
 @functools.cache
@@ -168,16 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "kappa(T) and rho(T) and a constant Seebeck coefficient.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve one steady state (ratio mode) or all of them "
-                  "(resistance mode) and write profile CSVs"),
-        ("report", "closed-form performance report (z, eta curve, optimum, "
-                   "flux and profile-shape diagnostics)"),
-        ("sweep", "solve over a gamma range and tabulate closed-form vs "
-                  "numeric efficiency"),
-        ("multiplicity", "enumerate all steady states at a fixed load "
-                         "resistance, with the H-curve"),
-    ):
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None, help="output directory override")
@@ -210,20 +202,22 @@ def _run(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(json.dumps(cfg.to_json(), indent=2, sort_keys=True))
         return EXIT_OK
-    if cfg.mode["type"] not in _MODES[args.command]:
+    run, modes, _ = _COMMANDS[args.command]
+    if cfg.mode["type"] not in modes:
         return _error_record(ConfigError(
-            f"{args.command} expects a {' or '.join(_MODES[args.command])} "
+            f"{args.command} expects a {' or '.join(modes)} "
             f"mode, got {cfg.mode['type']!r}"), EXIT_CONFIG)
 
     try:
-        spec = _build_spec(cfg)
+        spec = GeneratorSpec(pair=io.load_material_file(cfg.material_file),
+                             T_h=cfg.T_h, T_c=cfg.T_c, L=cfg.L, A_c=cfg.A_c)
     except (InvalidMaterial, DomainError, NonPositiveValue) as exc:
         return _error_record(exc, EXIT_MATERIAL)
 
     t0 = time.perf_counter()
     try:
         Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, spec)
+        run(cfg, spec)
     except TegError as exc:
         return _error_record(exc, EXIT_SOLVER)
     except OSError as exc:

@@ -23,10 +23,10 @@ MODE_FIELDS = {
     "sweep": ("gamma_min", "gamma_max", "n"),
     "multiplicity": ("R_load",),
 }
-# each tolerance and its type; a tolerance a config leaves out keeps the
-# default of the routine it goes to
-TOLERANCES = {"scan_samples": int, "n_out": int, "sweep_gamma_max": float,
-              "sweep_n": int}
+# each tolerance, its type and its least value; a tolerance a config leaves
+# out keeps the default of the routine it goes to
+TOLERANCES = {"scan_samples": (int, 2), "n_out": (int, 1),
+              "sweep_gamma_max": (float, 0), "sweep_n": (int, 2)}
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -106,7 +106,7 @@ def config_from_dict(data: dict) -> RunConfig:
                                                  ConfigError, whole=k == "n")
                  for k, v in mode.items()}
     d["tolerances"] = {k: number(f"'tolerances.{k}'", v, ConfigError,
-                                 whole=TOLERANCES[k] is int) for k, v in tol.items()}
+                                 whole=TOLERANCES[k][0] is int) for k, v in tol.items()}
     for k in ("material_file", "output_dir"):
         _require(isinstance(d.get(k, ""), str),
                  f"{k!r} must be a string, got {d.get(k)!r}")
@@ -121,8 +121,7 @@ def config_from_dict(data: dict) -> RunConfig:
         _require(m["n"] >= 2, "sweep mode needs n >= 2")
     else:
         _require(m["R_load"] > 0, f"{mtype} mode needs R_load > 0")
-    for k, least in (("n_out", 1), ("scan_samples", 2), ("sweep_n", 2),
-                     ("sweep_gamma_max", 0)):
+    for k, (_, least) in TOLERANCES.items():
         _require(least <= cfg.tolerances.get(k, least),
                  f"'tolerances.{k}' must be >= {least}")
     _require(cfg.T_c > 0, "need T_c > 0")

@@ -96,19 +96,17 @@ _LAST = _two_sided(_KINK_LEVELS, 0)
 class _Hermite:
     """The cubic Hermite spline through (x, y) with slopes d, x strictly
     increasing, built and evaluated as scipy's CubicHermiteSpline does, bit
-    for bit.  The end cubics continue past the ends or, with flat_above, a
-    constant y[-1] piece starts at x[-1], so the spline there is y[-1]."""
+    for bit.  The first cubic continues below x[0]; a constant y[-1] piece
+    starts at x[-1], so the spline is y[-1] there and above."""
 
-    def __init__(self, x, y, d, *, flat_above: bool = False):
+    def __init__(self, x, y, d):
         dx = np.diff(x)
         slope = np.diff(y) / dx
         t = (d[:-1] + d[1:] - 2 * slope) / dx
         c = [t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1]]
-        if flat_above:
-            x = np.append(x, np.nextafter(x[-1], np.inf))
-            c = [np.append(ck, top) for ck, top in zip(c, (0.0, 0.0, 0.0, y[-1]))]
-        self.x, self._c = x, c
-        self._index = np.arange(x.size - 1, dtype=float)
+        self.x = np.append(x, np.nextafter(x[-1], np.inf))
+        self._c = [np.append(ck, top) for ck, top in zip(c, (0.0, 0.0, 0.0, y[-1]))]
+        self._index = np.arange(self.x.size - 1, dtype=float)
 
     def __call__(self, v):
         """The spline at v, an array of v's shape, summed in scipy's order."""
@@ -344,7 +342,7 @@ class HittingTimeQuadrature:
         """The table on nodes T: a Hermite spline of W^{-1}, constant above the
         top node so T(W[-1]) is exact, and the W-images of the kinks."""
         pair = self.spec.pair
-        inv = _Hermite(W, T, 1.0 / pair.rho_kappa(T), flat_above=True)
+        inv = _Hermite(W, T, 1.0 / pair.rho_kappa(T))
         kk = [t for m in (pair.kappa, pair.rho) for t in m.kinks()]
         kink_q = sorted({float(W[int(np.searchsorted(T, t))]) for t in kk
                          if T[0] < t < T[-1]})

@@ -300,9 +300,6 @@ class NonuniqueConstruction:
 
     problem: LoadResistanceProblem
     theta1: float
-    M: float
-    S_load: float
-    alpha0: float
     H_prime_theta1: float
 
 
@@ -336,13 +333,12 @@ def construct_nonunique_example(kappa, T_h: float, T_c: float, rho_h: float, *,
         raise DegenerateError("construction needs T_h > T_c")
     theta1 = math.sqrt(2.0 * rho_h * du / 3.0)
     M_hat = 16.0 * rho_h * rho_h / (theta1 * theta1)
-    S_load = load_over_rho * rho_h
     alpha0 = theta1 * (3.0 + load_over_rho * (1.0 + 0.5 * math.atan(4.0))) / (T_h - T_c)
     rho = ClampedLinear(M=M_hat * kappa.c, T_pivot=T_h, v_pivot=rho_h)
     spec = GeneratorSpec(pair=MaterialPair(kappa=kappa, rho=rho, alpha0=alpha0),
                          T_h=T_h, T_c=T_c, L=L, A_c=A_c)
-    problem = LoadResistanceProblem(spec=spec, R_load=S_load * L / A_c)
+    problem = LoadResistanceProblem(spec=spec, R_load=load_over_rho * rho_h * L / A_c)
     return NonuniqueConstruction(
-        problem=problem, theta1=theta1, M=M_hat * kappa.c, S_load=S_load,
-        alpha0=alpha0, H_prime_theta1=1.5 - (13.0 / 34.0) * load_over_rho,
+        problem=problem, theta1=theta1,
+        H_prime_theta1=1.5 - (13.0 / 34.0) * load_over_rho,
     )

@@ -115,6 +115,11 @@ def test_shooting_function_worked_values():
         tg.shooting_function(spec, 1.5) - 3.0, rel=1e-14)
 
 
+def test_shooting_function_without_a_temperature_gap_raises():
+    with pytest.raises(DegenerateError, match="T_h > T_c"):
+        tg.shooting_function(unit_spec(T_h=1.0, T_c=1.0), 0.5)
+
+
 def test_shooting_function_symmetry_and_monotonicity():
     rng = np.random.default_rng(3)
     for idx in range(6):
@@ -208,6 +213,15 @@ def test_decreasing_criterion_arithmetic():
     assert tg.is_strictly_decreasing(unit_spec(alpha0=1.0), 0.0)
     # z = 3, dT = 1, gamma = 0: 3 > 2 -> not decreasing
     assert not tg.is_strictly_decreasing(unit_spec(alpha0=math.sqrt(3.0)), 0.0)
+
+
+@pytest.mark.parametrize("call", [lambda spec: tg.is_strictly_decreasing(spec, 1.0),
+                                  tg.sherman_relation],
+                         ids=["is_strictly_decreasing", "sherman_relation"])
+def test_profile_criteria_at_zero_voltage_raise(call):
+    # alpha0 = 0 gives V = 0: no current, so neither criterion has a meaning
+    with pytest.raises(ZeroVoltage):
+        call(unit_spec(alpha0=0.0))
 
 
 def test_decreasing_always_true_at_gamma_opt():

@@ -387,7 +387,8 @@ _MODE_RUNS = {"ratio": ("solve", {"gamma": 1.0}),
               "resistance": ("solve", {"R_load": 1.0}),
               "sweep": ("sweep", {"gamma_min": 0.0, "gamma_max": 2.0, "n": 3}),
               "multiplicity": ("multiplicity", {"R_load": 1.0})}
-_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan,
+               "int_1e400": 10 ** 400}
 
 
 def _non_finite_cases():
@@ -404,7 +405,8 @@ def _non_finite_cases():
 def test_non_finite_config_number_exit_code_and_record(
         tmp_path, capsys, command, mtype, where, key, value):
     # JSON's Infinity, -Infinity and NaN are no number of the schema, wherever
-    # they stand: a config error before any material is read or solver runs
+    # they stand, nor is an integer beyond the float range: a config error
+    # before any material is read or solver runs
     mode = {"type": mtype, **_MODE_RUNS[mtype][1]}
     overrides = {"mode": mode, "tolerances": {}}
     target = {"config": overrides, "mode": mode, "tolerances": overrides["tolerances"]}
@@ -549,11 +551,31 @@ def test_unknown_material_key_exit_code_and_record(tmp_path, capsys, material, k
     assert record["exit_code"] == cli.EXIT_MATERIAL
 
 
+@pytest.mark.parametrize("where, code, error", [
+    ("config", cli.EXIT_CONFIG, "ConfigError"),
+    ("material", cli.EXIT_MATERIAL, "InvalidMaterial"),
+])
+@pytest.mark.parametrize("top", ["[]", "[1, 2]", "2.0", '"text"', "null"])
+def test_top_level_that_is_no_object_exit_code_and_record(
+        tmp_path, capsys, where, code, error, top):
+    mat = tmp_path / "material.json"
+    mat.write_text(top if where == "material" else
+                   (CONFIG_DIR / "materials" / "unit_constant.json").read_text())
+    cfg = _write_config(tmp_path, material_file=str(mat))
+    if where == "config":
+        cfg.write_text(top)
+    assert cli.main(["solve", "--config", str(cfg)]) == code
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error
+    assert "must be a JSON object" in record["message"]
+    assert record["exit_code"] == code
+
+
 def test_unexpected_exception_exit_code_and_record(tmp_path, capsys, monkeypatch):
     def broken(cfg, spec):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setitem(cli._COMMANDS, "solve", broken)
+    monkeypatch.setitem(cli._COMMANDS, "solve", (broken, *cli._COMMANDS["solve"][1:]))
     cfg = _write_config(tmp_path)
     assert cli.main(["solve", "--config", str(cfg)]) == cli.EXIT_SOLVER
     err = capsys.readouterr().err

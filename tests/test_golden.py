@@ -59,6 +59,14 @@ roots.  theta moved from 1.1885506575511722 to 1.1885506505908976, 5.9e-9
 relative, toward the stationary point, which it now misses by 2.4e-9 to
 2.5e-9 at 2,048 to 2,923 samples; test_tangency_root_is_the_stationary_point
 pins it at 5e-9.
+
+out/baseline_sweep and out/baseline_report, on the same unit leg as
+out/baseline_ratio, are held to its closed forms, fresh and tracked.  The
+sweep's y_c, J, R_total, q_h and q_c miss them by at most 3.8e-16 relative
+and eta_numeric, a ratio of q_h - q_c, by 2.3e-16 absolute (1.8e-16 at
+gamma = 0, where it is 0); theta and every closed-form column, eta_sweep.csv
+and report.json matched to the bit, and 1e-15 allows for the last ulps of
+another environment.
 """
 
 import csv
@@ -178,3 +186,63 @@ def test_baseline_ratio_matches_the_exact_parabola(tmp_path):
         assert meta["theta"] == -1.75
         assert meta["y_c"] == pytest.approx(0.5, rel=1e-14, abs=0)
         assert meta["eta"] == pytest.approx(2.0 / 15.0, rel=1e-14, abs=0)
+
+
+SWEEP_REL = 1e-15      # y_c, J, R_total, q_h, q_c: measured 3.8e-16
+ETA_NUMERIC_ABS = 1e-15  # (q_h - q_c) / q_h: measured 2.3e-16
+CLOSED_FORM_REL = 1e-15  # theta and the closed forms: measured 0
+
+
+def _unit_eta(gamma):
+    """The unit leg's efficiency at load ratio gamma."""
+    return gamma / ((1.0 + gamma) ** 2 + 2.0 * (1.0 + gamma) - 0.5)
+
+
+def test_baseline_sweep_matches_the_exact_unit_leg(tmp_path):
+    # the unit leg of baseline_ratio at 26 gamma in [0, 5]; with c = 1/(1+gamma):
+    # theta = c/2 - 1/c, y_c = J = c, R_total = 1 + gamma, q_h = c (2 - theta)
+    # and q_c = c (1 + c - theta), and both efficiencies are _unit_eta
+    assert cli.main(["sweep", "--config", str(ROOT / "configs" / "baseline_sweep.json"),
+                     "--out", str(tmp_path)]) == 0
+    for path in (tmp_path, ROOT / "out" / "baseline_sweep"):
+        header, rows = _read(path / "sweep.csv")
+        assert header == ["gamma", "eta_closed_form", "eta_numeric", "theta", "y_c",
+                          "J", "R_total", "q_h", "q_c"]
+        col = dict(zip(header, rows.T))
+        g = col["gamma"]
+        np.testing.assert_array_equal(g, np.linspace(0.0, 5.0, 26))
+        c = 1.0 / (1.0 + g)
+        theta = 0.5 * c - 1.0 / c
+        for name, want, rel in (
+                ("theta", theta, CLOSED_FORM_REL),
+                ("eta_closed_form", _unit_eta(g), CLOSED_FORM_REL),
+                ("y_c", c, SWEEP_REL), ("J", c, SWEEP_REL),
+                ("R_total", 1.0 + g, SWEEP_REL),
+                ("q_h", c * (2.0 - theta), SWEEP_REL),
+                ("q_c", c * (1.0 + c - theta), SWEEP_REL)):
+            np.testing.assert_allclose(col[name], want, rtol=rel, atol=0,
+                                       err_msg=f"{path} {name}")
+        np.testing.assert_allclose(col["eta_numeric"], _unit_eta(g), rtol=0,
+                                   atol=ETA_NUMERIC_ABS, err_msg=str(path))
+
+
+def test_baseline_report_matches_the_exact_unit_leg(tmp_path):
+    # z = 1, gamma_opt = sqrt(1 + z T_m) = sqrt(2.5), eta(1) = 2/15, the hot
+    # flux relative to |J| is 7/4 at gamma 1, and eta_sweep.csv is _unit_eta
+    # at 257 gamma in [0, 3 gamma_opt]
+    assert cli.main(["report", "--config", str(ROOT / "configs" / "baseline_report.json"),
+                     "--out", str(tmp_path)]) == 0
+    g_opt = np.sqrt(2.5)
+    for path in (tmp_path, ROOT / "out" / "baseline_report"):
+        report = json.loads((path / "report.json").read_text())
+        assert report["V"] == 1.0 and report["gamma"] == 1.0 and report["decreasing"]
+        for name, want in (("z", 1.0), ("gamma_opt", g_opt), ("eta_of_gamma", 2.0 / 15.0),
+                           ("hot_flux_rel", 1.75),
+                           ("eta_max", 0.5 * (g_opt - 1.0) / (g_opt + 0.5))):
+            assert report[name] == pytest.approx(want, rel=CLOSED_FORM_REL, abs=0), name
+        header, rows = _read(path / "eta_sweep.csv")
+        assert header == ["gamma", "eta"] and rows.shape == (257, 2)
+        np.testing.assert_allclose(rows[:, 0], np.linspace(0.0, 3.0 * g_opt, 257),
+                                   rtol=CLOSED_FORM_REL, atol=0)
+        np.testing.assert_allclose(rows[:, 1], _unit_eta(rows[:, 0]),
+                                   rtol=CLOSED_FORM_REL, atol=0, err_msg=str(path))

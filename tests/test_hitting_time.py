@@ -492,6 +492,27 @@ def test_every_profile_point_converges():
             assert np.all(np.isfinite(sol.T)), (name, theta)
 
 
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 0.5])
+def test_materialize_raises_where_newton_never_settles(theta, monkeypatch):
+    # monkeypatched: the 16-point Gauss-Legendre sums that the Newton steps
+    # read come back three times too large, so each step lands twice its
+    # error past the root and the 16-step cap raises; rho is not constant,
+    # so not every start is exact already
+    pair = tg.MaterialPair(kappa=tg.constant(1.0), rho=tg.linear(a=1.0, b=0.5),
+                           alpha0=1.0)
+    q = tg.HittingTimeQuadrature(tg.GeneratorSpec(pair=pair, T_h=2.0, T_c=1.0))
+    q.y_c(theta)  # the table it needs, before the patch
+    real = ivp.gauss_legendre_on
+
+    def tripled_at_16(a, b, order):
+        x, half, w = real(a, b, order)
+        return x, 3.0 * half if order == 16 else half, w
+
+    monkeypatch.setattr(ivp, "gauss_legendre_on", tripled_at_16)
+    with pytest.raises(tg.NumericalBlowup, match="in 16 Newton steps"):
+        q.materialize(theta, gamma=1.0, n_out=8)
+
+
 def eager_first_block(q):
     """Nodes of q's whole first block [T_c, T_h + 2 dT] in one pass, as the
     grid was built before it grew on demand, and W above T_h: the running

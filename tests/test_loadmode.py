@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tegsolve as tg
+from tegsolve import loadmode
 from tegsolve.errors import DegenerateError, DomainError, InvalidMaterial, ZeroVoltage
 
 import oracles
@@ -312,8 +313,8 @@ def test_construct_nonunique_example_worked_numbers():
                                            rho_h=2.0)
     # theta1^2 = 2 rho_h du / 3 = 4/3 and M = 16 rho_h^2 / theta1^2 = 48
     assert built.theta1 == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
-    assert built.M == pytest.approx(48.0, rel=1e-13)
-    assert built.S_load / 2.0 == pytest.approx(4.0) and 4.0 > 51.0 / 13.0
+    assert built.problem.spec.pair.rho.M == pytest.approx(48.0, rel=1e-13)
+    assert built.problem.S_load / 2.0 == pytest.approx(4.0) and 4.0 > 51.0 / 13.0
     assert built.H_prime_theta1 == pytest.approx(1.5 - (13.0 / 34.0) * 4.0,
                                                  rel=1e-14)
     assert built.H_prime_theta1 == pytest.approx(-0.0294117647, abs=1e-9)
@@ -346,6 +347,41 @@ def test_construct_nonunique_example_validation():
     with pytest.raises(InvalidMaterial):
         tg.construct_nonunique_example(tg.constant(1.0), T_h=2.0, T_c=1.0,
                                        rho_h=2.0, load_over_rho=3.0)
+    with pytest.raises(InvalidMaterial, match="rho_h > 0"):
+        tg.construct_nonunique_example(tg.constant(1.0), T_h=2.0, T_c=1.0, rho_h=0.0)
+    with pytest.raises(DegenerateError, match="T_h > T_c"):
+        tg.construct_nonunique_example(tg.constant(1.0), T_h=1.0, T_c=1.0, rho_h=2.0)
+
+
+def test_a_root_left_off_the_level_is_noted(monkeypatch):
+    # monkeypatched: a Brent search that returns its bracket's lower end
+    # leaves each simple root on a scan point, where |H - |V|| is far above
+    # TOL_ROOT, and the scan records that instead of passing it off as found
+    monkeypatch.setattr(loadmode, "brentq", lambda f, a, b, **kw: a)
+    res = tg.enumerate_solutions(three_solution_problem(), scan_samples=256, n_out=2)
+    grid = res.scan_diagnostics.theta_grid
+    notes = res.scan_diagnostics.notes
+    assert len(res) == len(notes) == 3
+    for root, note in zip(res.roots, notes):
+        assert root.theta in grid and not root.tangency
+        assert root.H_residual > loadmode.TOL_ROOT
+        assert note.startswith(f"root at theta={root.theta:.6g} stuck at residual")
+
+
+def test_a_tangency_whose_slope_never_turns_takes_the_least_sample(monkeypatch):
+    # monkeypatched: the centred-difference slope reads +1 everywhere, so no
+    # bracket turns from - to + and, after four rescans, the tangency is the
+    # least of the last 17 samples, a 2 / 8^4 cell bracket around the minimum
+    prob, th1 = two_solution_problem()
+    want = tg.enumerate_solutions(prob, n_out=2)
+    monkeypatch.setattr(loadmode, "cache", lambda f: lambda t: 1.0)
+    got = tg.enumerate_solutions(prob, n_out=2)
+    cell = got.scan_diagnostics.theta_grid[1] - got.scan_diagnostics.theta_grid[0]
+    assert [r.tangency for r in got.roots] == [r.tangency for r in want.roots]
+    (was,), (now,) = ([r for r in s.roots if r.tangency] for s in (want, got))
+    assert now.theta != was.theta
+    assert abs(now.theta - th1) <= 2.0 * cell / 8 ** 4
+    assert now.H_residual <= loadmode.TOL_TANGENCY
 
 
 def test_enumeration_leaves_no_reference_cycle_to_the_problem():

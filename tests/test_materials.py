@@ -96,6 +96,14 @@ def test_invalid_materials_rejected():
         tg.table([(1.0, 1.0), (2.0, -1.0)])
     with pytest.raises(InvalidMaterial):
         tg.linear(a=-1.0, b=-1.0)
+    with pytest.raises(InvalidMaterial, match="a = 0 needs b > 0"):
+        tg.linear(a=0.0, b=0.0)
+    with pytest.raises(InvalidMaterial, match="needs c0 > 0"):
+        tg.log_affine(c0=0.0, c1=0.5, T_ref=1.0)
+    with pytest.raises(InvalidMaterial, match="needs T_ref > 0"):
+        tg.log_affine(c0=1.0, c1=0.5, T_ref=-2.0)
+    with pytest.raises(InvalidMaterial, match="needs Lo > 0"):
+        tg.wiedemann_franz(0.0)
 
 
 

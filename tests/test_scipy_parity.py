@@ -39,32 +39,23 @@ def _queries(rng, x):
                            rng.uniform(x[-1], x[-1] + 3.0, 5)])
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_hermite_equals_scipy_bit_for_bit(seed):
+@pytest.mark.parametrize("seed", range(12))
+def test_hermite_equals_scipy_extended_bit_for_bit(seed):
+    # scipy's spline, extended by a constant y[-1] piece from the top node on,
+    # so the top node maps to its value exactly; below x[0] the first cubic
+    # continues
     rng = np.random.default_rng(seed)
     for n in (2, 3, 17, 400):
         x, y, d = _table(rng, n)
         ref, ours = CubicHermiteSpline(x, y, d), _Hermite(x, y, d)
+        ref.extend(np.array([[0.0], [0.0], [0.0], [y[-1]]]), [np.nextafter(x[-1], np.inf)])
         v = _queries(rng, x)
         rng.shuffle(v)
         for q in (v, v.reshape(-1, 2) if v.size % 2 == 0 else v[:, None]):
             out = ours(q)
             assert out.shape == q.shape
             assert _bits(out) == _bits(ref(q)), (seed, n, q.ndim)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_flat_above_equals_scipy_extended_bit_for_bit(seed):
-    # the W^-1 table's spline: a constant piece from the top node on, so the
-    # top node maps to its value exactly
-    rng = np.random.default_rng(100 + seed)
-    x, y, d = _table(rng, 50)
-    ref = CubicHermiteSpline(x, y, d, extrapolate=False)
-    ref.extend(np.array([[0.0], [0.0], [0.0], [y[-1]]]), [np.nextafter(x[-1], np.inf)])
-    ours = _Hermite(x, y, d, flat_above=True)
-    v = np.clip(_queries(rng, x), x[0], x[-1])
-    assert _bits(ours(v)) == _bits(ref(v))
-    assert ours(x[-1:])[0] == y[-1]
+        assert ours(x[-1:])[0] == y[-1]
 
 
 BRACKETS = [
